@@ -134,6 +134,20 @@ impl SolutionCacheStats {
             self.hits as f64 / total as f64
         }
     }
+
+    /// Adds every field of `other` into `self` — totals across several caches
+    /// (fleet shards, retired generations).
+    pub fn accumulate(&mut self, other: &Self) {
+        self.hits += other.hits;
+        self.exact_hits += other.exact_hits;
+        self.remapped_hits += other.remapped_hits;
+        self.misses += other.misses;
+        self.insertions += other.insertions;
+        self.evictions += other.evictions;
+        self.expirations += other.expirations;
+        self.entries += other.entries;
+        self.bytes += other.bytes;
+    }
 }
 
 /// A concurrent, configuration-scoped solution cache. See the [module docs](self).

@@ -459,6 +459,130 @@ pub struct QualitySummary {
     pub max: f64,
 }
 
+/// The scalar service counters: the one declaration of each.
+///
+/// Every exported row — field, `taxi_service_*` family name, help text — turns
+/// into an atomic and a typed getter on [`ServiceMetrics`], a field and a JSON
+/// key on [`ServiceSnapshot`], a family on the fleet's telemetry page, and a
+/// field of `taxi-obs`'s cumulative captures and windows. Exported counters
+/// merge by sum. The rows after `;` are hub-internal inputs of derived gauges
+/// (mean batch size, last-snapshot age), with the atomic operation that merges
+/// them. Adding a counter is one row here plus the `record_*` call that bumps
+/// it.
+///
+/// The macro hands the rows to a callback macro, after one token tree of the
+/// caller's own input: `service_counters!(callback! { ... })` expands to
+/// `callback! { { ... } <rows> }`.
+#[macro_export]
+macro_rules! service_counters {
+    ($callback:ident ! $input:tt) => {
+        $callback! {
+            $input
+            submitted: "taxi_service_submitted_total", "Requests admitted";
+            completed: "taxi_service_completed_total", "Requests solved successfully";
+            failed: "taxi_service_failed_total", "Requests whose solve failed";
+            shed: "taxi_service_shed_total", "Requests shed by admission";
+            rejected: "taxi_service_rejected_total", "Submissions refused outright";
+            degraded: "taxi_service_degraded_total", "Completions served degraded";
+            deadline_misses: "taxi_service_deadline_misses_total",
+                "Completions resolved after their deadline";
+            cache_hits: "taxi_service_cache_hits_total",
+                "Completions served from the solution cache";
+            coalesced: "taxi_service_coalesced_total",
+                "Completions coalesced onto another request's solve";
+            worker_panics: "taxi_service_worker_panics_total",
+                "Contained worker solve panics (fleet crash signal)";
+            explored: "taxi_service_explored_total",
+                "Routed solves placed by the exploration arm";
+            snapshots_written: "taxi_service_snapshots_written_total",
+                "Durability snapshots written (periodic + shutdown)";
+            snapshots_restored: "taxi_service_snapshots_restored_total",
+                "Durability snapshots restored at service start";
+            snapshots_rejected: "taxi_service_snapshots_rejected_total",
+                "Durability snapshots rejected (corrupt/skewed restore or failed write)";
+            batches: "taxi_service_batches_total", "Micro-batches formed";
+            ;
+            // Requests summed over formed micro-batches (mean batch size).
+            batched_requests: fetch_add;
+            // When the last snapshot was written, as nanoseconds since the hub
+            // started (0 = never). The aggregate keeps the most recent: each hub
+            // counts from its own start, and fleet members share one process
+            // epoch to within thread-spawn skew.
+            last_snapshot_nanos: fetch_max;
+        }
+    };
+}
+
+/// [`service_counters!`] callback: appends one `pub <field>: u64` per exported
+/// counter, documented with its help text, to the struct definition it is given.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! counter_fields {
+    (
+        {
+            $(#[$attr:meta])*
+            $vis:vis struct $name:ident { $($body:tt)* }
+        }
+        $($field:ident: $family:literal, $help:literal;)*
+        ; $($internal:tt)*
+    ) => {
+        $(#[$attr])*
+        $vis struct $name {
+            $($body)*
+            $(
+                #[doc = $help]
+                pub $field: u64,
+            )*
+        }
+    };
+}
+
+/// [`service_counters!`] callback for this module: the hub's atomics, their
+/// merge and getters, and the snapshot's loads and JSON keys.
+macro_rules! hub_counters {
+    (
+        {}
+        $($field:ident: $family:literal, $help:literal;)*
+        ; $($internal:ident: $merge:ident;)*
+    ) => {
+        /// One atomic per scalar counter.
+        #[derive(Debug, Default)]
+        struct Counters {
+            $($field: AtomicU64,)*
+            $($internal: AtomicU64,)*
+        }
+
+        impl Counters {
+            fn merge_from(&self, other: &Self) {
+                $(self.$field.fetch_add(other.$field.load(Ordering::Relaxed), Ordering::Relaxed);)*
+                $(self.$internal.$merge(other.$internal.load(Ordering::Relaxed), Ordering::Relaxed);)*
+            }
+        }
+
+        impl ServiceMetrics {
+            $(
+                #[doc = concat!("Current value of the `", stringify!($field), "` counter: ", $help, ".")]
+                pub fn $field(&self) -> u64 {
+                    self.counters.$field.load(Ordering::Relaxed)
+                }
+            )*
+        }
+
+        impl ServiceSnapshot {
+            fn load_counters(&mut self, metrics: &ServiceMetrics) {
+                $(self.$field = metrics.$field();)*
+            }
+
+            fn write_counters_json(&self, json: &mut String) {
+                use std::fmt::Write as _;
+                $(let _ = write!(json, concat!(",\"", stringify!($field), "\":{}"), self.$field);)*
+            }
+        }
+    };
+}
+
+service_counters!(hub_counters! {});
+
 /// The shared metrics hub of one dispatch service.
 ///
 /// Workers and the admission queue record into it concurrently;
@@ -467,39 +591,10 @@ pub struct QualitySummary {
 #[derive(Debug)]
 pub struct ServiceMetrics {
     started_at: Instant,
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    shed: AtomicU64,
-    rejected: AtomicU64,
-    degraded: AtomicU64,
-    deadline_misses: AtomicU64,
-    cache_hits: AtomicU64,
-    coalesced: AtomicU64,
-    batches: AtomicU64,
-    batched_requests: AtomicU64,
+    counters: Counters,
     /// Fresh solves dispatched through the adaptive router, per chosen backend
     /// (indexed like [`SolverBackend::ALL`]; all zero when routing is disabled).
     routed: [AtomicU64; SolverBackend::ALL.len()],
-    /// Routed solves whose backend came from the ε-greedy exploration arm.
-    explored: AtomicU64,
-    /// Worker solve closures that panicked (the panic is contained per request,
-    /// the request fails, and the worker thread survives — but a growing count is
-    /// the fleet's crash-detection signal for a poisoned shard).
-    worker_panics: AtomicU64,
-    /// Durability snapshots written (periodic housekeeping + the final one at
-    /// shutdown).
-    snapshots_written: AtomicU64,
-    /// Durability snapshots restored at service start (0 or 1 per service;
-    /// summed across generations by the fleet aggregate).
-    snapshots_restored: AtomicU64,
-    /// Durability snapshots rejected: a restore found the file corrupt,
-    /// truncated or version-skewed (typed, contained — the service cold-started
-    /// instead), or a periodic write failed.
-    snapshots_rejected: AtomicU64,
-    /// When the last snapshot was written, as nanoseconds since `started_at`
-    /// (`0` = never; the first nanosecond of uptime cannot finish a write).
-    last_snapshot_nanos: AtomicU64,
     /// Quality ratios of routed solves (fed when the router's shadow reference was
     /// available).
     quality: QualityHistogram,
@@ -522,24 +617,8 @@ impl ServiceMetrics {
     pub fn new() -> Self {
         Self {
             started_at: Instant::now(),
-            submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            degraded: AtomicU64::new(0),
-            deadline_misses: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            batched_requests: AtomicU64::new(0),
+            counters: Counters::default(),
             routed: std::array::from_fn(|_| AtomicU64::new(0)),
-            explored: AtomicU64::new(0),
-            worker_panics: AtomicU64::new(0),
-            snapshots_written: AtomicU64::new(0),
-            snapshots_restored: AtomicU64::new(0),
-            snapshots_rejected: AtomicU64::new(0),
-            last_snapshot_nanos: AtomicU64::new(0),
             quality: QualityHistogram::new(),
             queue_wait: LatencyHistogram::new(),
             solve: LatencyHistogram::new(),
@@ -552,23 +631,24 @@ impl ServiceMetrics {
 
     /// One request was admitted.
     pub fn record_submitted(&self) {
-        self.submitted.fetch_add(1, Ordering::Relaxed);
+        self.counters.submitted.fetch_add(1, Ordering::Relaxed);
     }
 
     /// One submission was refused by the admission policy.
     pub fn record_rejected(&self) {
-        self.rejected.fetch_add(1, Ordering::Relaxed);
+        self.counters.rejected.fetch_add(1, Ordering::Relaxed);
     }
 
     /// One queued request was shed to make room.
     pub fn record_shed(&self) {
-        self.shed.fetch_add(1, Ordering::Relaxed);
+        self.counters.shed.fetch_add(1, Ordering::Relaxed);
     }
 
     /// One micro-batch of `size` requests was formed.
     pub fn record_batch(&self, size: usize) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batched_requests
+        self.counters.batches.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .batched_requests
             .fetch_add(size as u64, Ordering::Relaxed);
     }
 
@@ -581,15 +661,17 @@ impl ServiceMetrics {
         degraded: bool,
         missed_deadline: bool,
     ) {
-        self.completed.fetch_add(1, Ordering::Relaxed);
+        self.counters.completed.fetch_add(1, Ordering::Relaxed);
         self.queue_wait.record(queue_wait);
         self.solve.record(solve_time);
         self.end_to_end.record(end_to_end);
         if degraded {
-            self.degraded.fetch_add(1, Ordering::Relaxed);
+            self.counters.degraded.fetch_add(1, Ordering::Relaxed);
         }
         if missed_deadline {
-            self.deadline_misses.fetch_add(1, Ordering::Relaxed);
+            self.counters
+                .deadline_misses
+                .fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -599,8 +681,8 @@ impl ServiceMetrics {
     /// *did* wait — go through
     /// [`record_late_cache_hit`](Self::record_late_cache_hit).
     pub fn record_cache_hit(&self, end_to_end: Duration) {
-        self.completed.fetch_add(1, Ordering::Relaxed);
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
+        self.counters.completed.fetch_add(1, Ordering::Relaxed);
+        self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
         self.end_to_end.record(end_to_end);
     }
 
@@ -608,8 +690,8 @@ impl ServiceMetrics {
     /// re-check: it avoided a solve but genuinely waited in the queue, so the
     /// queue-wait histogram is fed alongside end-to-end.
     pub fn record_late_cache_hit(&self, queue_wait: Duration, end_to_end: Duration) {
-        self.completed.fetch_add(1, Ordering::Relaxed);
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
+        self.counters.completed.fetch_add(1, Ordering::Relaxed);
+        self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
         self.queue_wait.record(queue_wait);
         self.end_to_end.record(end_to_end);
     }
@@ -619,47 +701,57 @@ impl ServiceMetrics {
     /// histograms; the solve histogram is *not* fed — the leader already recorded
     /// that solve once.
     pub fn record_coalesced(&self, queue_wait: Duration, end_to_end: Duration, missed: bool) {
-        self.completed.fetch_add(1, Ordering::Relaxed);
-        self.coalesced.fetch_add(1, Ordering::Relaxed);
+        self.counters.completed.fetch_add(1, Ordering::Relaxed);
+        self.counters.coalesced.fetch_add(1, Ordering::Relaxed);
         self.queue_wait.record(queue_wait);
         self.end_to_end.record(end_to_end);
         if missed {
-            self.deadline_misses.fetch_add(1, Ordering::Relaxed);
+            self.counters
+                .deadline_misses
+                .fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// One request's solve failed.
     pub fn record_failed(&self) {
-        self.failed.fetch_add(1, Ordering::Relaxed);
+        self.counters.failed.fetch_add(1, Ordering::Relaxed);
     }
 
     /// One worker solve closure panicked (contained; the request fails but the
     /// worker survives). Recorded *in addition to* [`record_failed`](Self::record_failed).
     pub fn record_worker_panic(&self) {
-        self.worker_panics.fetch_add(1, Ordering::Relaxed);
+        self.counters.worker_panics.fetch_add(1, Ordering::Relaxed);
     }
 
     /// One durability snapshot was written (periodic or at shutdown). Also
     /// stamps the last-snapshot clock that feeds
     /// [`ServiceSnapshot::last_snapshot_age`].
     pub fn record_snapshot_written(&self) {
-        self.snapshots_written.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .snapshots_written
+            .fetch_add(1, Ordering::Relaxed);
         let nanos = u64::try_from(self.started_at.elapsed().as_nanos())
             .unwrap_or(u64::MAX)
             .max(1);
-        self.last_snapshot_nanos.fetch_max(nanos, Ordering::Relaxed);
+        self.counters
+            .last_snapshot_nanos
+            .fetch_max(nanos, Ordering::Relaxed);
     }
 
     /// One durability snapshot was restored at service start.
     pub fn record_snapshot_restored(&self) {
-        self.snapshots_restored.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .snapshots_restored
+            .fetch_add(1, Ordering::Relaxed);
     }
 
     /// One durability snapshot was rejected (corrupt/truncated/version-skewed on
     /// restore, or a write failed). The service carries on cold — this counter
     /// is the operator's signal to look at the snapshot directory.
     pub fn record_snapshot_rejected(&self) {
-        self.snapshots_rejected.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .snapshots_rejected
+            .fetch_add(1, Ordering::Relaxed);
     }
 
     /// One fresh solve was dispatched through the adaptive router to `backend`.
@@ -678,12 +770,17 @@ impl ServiceMetrics {
         self.routed[backend.index()].fetch_add(1, Ordering::Relaxed);
         self.backend_solve[backend.index()].record(solve_time);
         if explored {
-            self.explored.fetch_add(1, Ordering::Relaxed);
+            self.counters.explored.fetch_add(1, Ordering::Relaxed);
         }
         if let Some(ratio) = quality {
             self.quality.record(ratio);
             self.backend_quality[backend.index()].record(ratio);
         }
+    }
+
+    /// Fresh solves the adaptive router placed on `backend`.
+    pub fn routed(&self, backend: SolverBackend) -> u64 {
+        self.routed[backend.index()].load(Ordering::Relaxed)
     }
 
     /// The queue-wait latency histogram (raw, for windowed scrapers).
@@ -725,33 +822,7 @@ impl ServiceMetrics {
     /// union of both streams. `started_at` is untouched: the *aggregator* owns the
     /// time base (a fleet overrides uptime/throughput with its own clock).
     pub fn merge_from(&self, other: &Self) {
-        for (field, theirs) in [
-            (&self.submitted, &other.submitted),
-            (&self.completed, &other.completed),
-            (&self.failed, &other.failed),
-            (&self.shed, &other.shed),
-            (&self.rejected, &other.rejected),
-            (&self.degraded, &other.degraded),
-            (&self.deadline_misses, &other.deadline_misses),
-            (&self.cache_hits, &other.cache_hits),
-            (&self.coalesced, &other.coalesced),
-            (&self.batches, &other.batches),
-            (&self.batched_requests, &other.batched_requests),
-            (&self.explored, &other.explored),
-            (&self.worker_panics, &other.worker_panics),
-            (&self.snapshots_written, &other.snapshots_written),
-            (&self.snapshots_restored, &other.snapshots_restored),
-            (&self.snapshots_rejected, &other.snapshots_rejected),
-        ] {
-            field.fetch_add(theirs.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        // The aggregate's "last snapshot" is the most recent across sources.
-        // Clocks differ per hub, but both count from their own `started_at`, and
-        // fleet members share one process epoch to within thread-spawn skew.
-        self.last_snapshot_nanos.fetch_max(
-            other.last_snapshot_nanos.load(Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
+        self.counters.merge_from(&other.counters);
         for (mine, theirs) in self.routed.iter().zip(&other.routed) {
             mine.fetch_add(theirs.load(Ordering::Relaxed), Ordering::Relaxed);
         }
@@ -782,51 +853,32 @@ impl ServiceMetrics {
     /// Assembles the current read model.
     pub fn snapshot(&self) -> ServiceSnapshot {
         let uptime = self.started_at.elapsed();
-        let completed = self.completed.load(Ordering::Relaxed);
-        let batches = self.batches.load(Ordering::Relaxed);
-        let batched = self.batched_requests.load(Ordering::Relaxed);
-        ServiceSnapshot {
+        let mut snapshot = ServiceSnapshot {
             uptime,
             captured_at: uptime,
-            submitted: self.submitted.load(Ordering::Relaxed),
-            completed,
-            failed: self.failed.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            degraded: self.degraded.load(Ordering::Relaxed),
-            deadline_misses: self.deadline_misses.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            cache: None,
             routed_per_backend: std::array::from_fn(|i| self.routed[i].load(Ordering::Relaxed)),
-            explored: self.explored.load(Ordering::Relaxed),
-            worker_panics: self.worker_panics.load(Ordering::Relaxed),
-            snapshots_written: self.snapshots_written.load(Ordering::Relaxed),
-            snapshots_restored: self.snapshots_restored.load(Ordering::Relaxed),
-            snapshots_rejected: self.snapshots_rejected.load(Ordering::Relaxed),
-            last_snapshot_age: match self.last_snapshot_nanos.load(Ordering::Relaxed) {
+            last_snapshot_age: match self.counters.last_snapshot_nanos.load(Ordering::Relaxed) {
                 0 => None,
                 nanos => Some(uptime.saturating_sub(Duration::from_nanos(nanos))),
             },
             quality: self.quality.summary(),
-            batches,
-            mean_batch_size: if batches == 0 {
-                0.0
-            } else {
-                batched as f64 / batches as f64
-            },
-            throughput_per_sec: if uptime.is_zero() {
-                0.0
-            } else {
-                completed as f64 / uptime.as_secs_f64()
-            },
             queue_wait: self.queue_wait.summary(),
             solve: self.solve.summary(),
             end_to_end: self.end_to_end.summary(),
             stage_seconds: std::array::from_fn(|i| {
                 self.stage_nanos[i].load(Ordering::Relaxed) as f64 * 1e-9
             }),
+            ..ServiceSnapshot::default()
+        };
+        snapshot.load_counters(self);
+        let batched = self.counters.batched_requests.load(Ordering::Relaxed);
+        if snapshot.batches > 0 {
+            snapshot.mean_batch_size = batched as f64 / snapshot.batches as f64;
         }
+        if !uptime.is_zero() {
+            snapshot.throughput_per_sec = snapshot.completed as f64 / uptime.as_secs_f64();
+        }
+        snapshot
     }
 }
 
@@ -836,77 +888,47 @@ impl Default for ServiceMetrics {
     }
 }
 
-/// Point-in-time read model of a dispatch service.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServiceSnapshot {
-    /// Time since the service (metrics hub) started.
-    pub uptime: Duration,
-    /// When this snapshot was captured, as a monotonic (`Instant`-based) offset on
-    /// the same clock as `uptime`. Two dumps yield exact rates:
-    /// `(completed₂ − completed₁) / (captured_at₂ − captured_at₁)`. Equal to
-    /// `uptime` for a live service; an aggregator (the fleet) stamps both with its
-    /// own clock.
-    pub captured_at: Duration,
-    /// Requests admitted into the queue.
-    pub submitted: u64,
-    /// Requests solved successfully.
-    pub completed: u64,
-    /// Requests whose solve failed.
-    pub failed: u64,
-    /// Requests shed by the admission policy.
-    pub shed: u64,
-    /// Submissions refused outright.
-    pub rejected: u64,
-    /// Completions served by the degraded backend.
-    pub degraded: u64,
-    /// Completions that resolved after their deadline.
-    pub deadline_misses: u64,
-    /// Completions served from the solution cache at admission or by a worker's
-    /// pre-solve re-check (no solve).
-    pub cache_hits: u64,
-    /// Completions that rode on a concurrent identical request's solve
-    /// (singleflight coalescing; no own solve).
-    pub coalesced: u64,
-    /// Statistics of the attached solution cache, when the service has one
-    /// (injected by [`DispatchService`](crate::DispatchService) snapshots; `None`
-    /// from a bare [`ServiceMetrics::snapshot`]).
-    pub cache: Option<SolutionCacheStats>,
-    /// Fresh solves dispatched through the adaptive router, per chosen backend
-    /// (indexed like [`SolverBackend::ALL`]; all zero when routing is disabled).
-    pub routed_per_backend: [u64; SolverBackend::ALL.len()],
-    /// Routed solves placed by the ε-greedy exploration arm.
-    pub explored: u64,
-    /// Worker solve closures that panicked (contained per request; the worker
-    /// thread survives). A fleet reads this as the shard crash signal.
-    pub worker_panics: u64,
-    /// Durability snapshots written (periodic + shutdown).
-    pub snapshots_written: u64,
-    /// Durability snapshots restored at service start.
-    pub snapshots_restored: u64,
-    /// Durability snapshots rejected (corrupt/truncated/version-skewed restore,
-    /// or a failed write) — the service cold-started or skipped the write.
-    pub snapshots_rejected: u64,
-    /// Time since the last snapshot write, `None` when none has been written.
-    /// The staleness signal: a healthy snapshotting service keeps this under
-    /// its configured interval (+ jitter).
-    pub last_snapshot_age: Option<Duration>,
-    /// Quality-ratio distribution of routed solves (cost / shadow reference).
-    pub quality: QualitySummary,
-    /// Micro-batches formed.
-    pub batches: u64,
-    /// Mean formed batch size.
-    pub mean_batch_size: f64,
-    /// Completions per second of uptime.
-    pub throughput_per_sec: f64,
-    /// Queue-wait latency distribution.
-    pub queue_wait: HistogramSummary,
-    /// Solve latency distribution.
-    pub solve: HistogramSummary,
-    /// Submission-to-resolution latency distribution.
-    pub end_to_end: HistogramSummary,
-    /// Accumulated host seconds per pipeline stage, indexed like [`Stage::ALL`].
-    pub stage_seconds: [f64; Stage::ALL.len()],
-}
+service_counters!(counter_fields! {
+    /// Point-in-time read model of a dispatch service. Its scalar counters are
+    /// the exported rows of [`service_counters!`].
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct ServiceSnapshot {
+        /// Time since the service (metrics hub) started.
+        pub uptime: Duration,
+        /// When this snapshot was captured, as a monotonic (`Instant`-based)
+        /// offset on the same clock as `uptime`. Two dumps yield exact rates:
+        /// `(completed₂ − completed₁) / (captured_at₂ − captured_at₁)`. Equal to
+        /// `uptime` for a live service; an aggregator (the fleet) stamps both
+        /// with its own clock.
+        pub captured_at: Duration,
+        /// Statistics of the attached solution cache, when the service has one
+        /// (injected by [`DispatchService`](crate::DispatchService) snapshots;
+        /// `None` from a bare [`ServiceMetrics::snapshot`]).
+        pub cache: Option<SolutionCacheStats>,
+        /// Fresh solves dispatched through the adaptive router, per chosen
+        /// backend (indexed like [`SolverBackend::ALL`]; all zero when routing
+        /// is disabled).
+        pub routed_per_backend: [u64; SolverBackend::ALL.len()],
+        /// Time since the last snapshot write, `None` when none has been
+        /// written. The staleness signal: a healthy snapshotting service keeps
+        /// this under its configured interval (+ jitter).
+        pub last_snapshot_age: Option<Duration>,
+        /// Quality-ratio distribution of routed solves (cost / shadow reference).
+        pub quality: QualitySummary,
+        /// Mean formed batch size.
+        pub mean_batch_size: f64,
+        /// Completions per second of uptime.
+        pub throughput_per_sec: f64,
+        /// Queue-wait latency distribution.
+        pub queue_wait: HistogramSummary,
+        /// Solve latency distribution.
+        pub solve: HistogramSummary,
+        /// Submission-to-resolution latency distribution.
+        pub end_to_end: HistogramSummary,
+        /// Accumulated host seconds per pipeline stage, indexed like [`Stage::ALL`].
+        pub stage_seconds: [f64; Stage::ALL.len()],
+    }
+});
 
 impl ServiceSnapshot {
     /// Completions that actually ran the solve pipeline (everything not served from
@@ -1011,32 +1033,17 @@ impl ServiceSnapshot {
         let mut json = String::with_capacity(1024);
         let _ = write!(
             json,
-            "{{\"uptime_secs\":{:.3},\"captured_at_secs\":{:.3},\"submitted\":{},\
-             \"completed\":{},\"failed\":{},\
-             \"shed\":{},\"rejected\":{},\"degraded\":{},\"deadline_misses\":{},\
-             \"worker_panics\":{},\"cache_hits\":{},\"coalesced\":{},\"solved_fresh\":{},\
-             \"batches\":{},\"mean_batch_size\":{:.3},\"throughput_per_sec\":{:.1}",
+            "{{\"uptime_secs\":{:.3},\"captured_at_secs\":{:.3}",
             self.uptime.as_secs_f64(),
             self.captured_at.as_secs_f64(),
-            self.submitted,
-            self.completed,
-            self.failed,
-            self.shed,
-            self.rejected,
-            self.degraded,
-            self.deadline_misses,
-            self.worker_panics,
-            self.cache_hits,
-            self.coalesced,
-            self.solved_fresh(),
-            self.batches,
-            self.mean_batch_size,
-            self.throughput_per_sec,
         );
+        self.write_counters_json(&mut json);
         let _ = write!(
             json,
-            ",\"snapshots_written\":{},\"snapshots_restored\":{},\"snapshots_rejected\":{}",
-            self.snapshots_written, self.snapshots_restored, self.snapshots_rejected,
+            ",\"solved_fresh\":{},\"mean_batch_size\":{:.3},\"throughput_per_sec\":{:.1}",
+            self.solved_fresh(),
+            self.mean_batch_size,
+            self.throughput_per_sec,
         );
         if let Some(age) = self.last_snapshot_age {
             let _ = write!(json, ",\"last_snapshot_age_secs\":{:.3}", age.as_secs_f64());
@@ -1061,9 +1068,8 @@ impl ServiceSnapshot {
             }
             let _ = write!(
                 json,
-                "}},\"explored\":{},\"exploration_share\":{:.4},\"quality\":{{\
+                "}},\"exploration_share\":{:.4},\"quality\":{{\
                  \"count\":{},\"mean\":{:.4},\"p50\":{:.4},\"p95\":{:.4},\"max\":{:.4}}}",
-                self.explored,
                 self.exploration_share(),
                 self.quality.count,
                 self.quality.mean,

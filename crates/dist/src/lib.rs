@@ -17,7 +17,7 @@ mod matrix;
 mod neighbors;
 mod order;
 
-pub use matrix::{DistError, DistanceMatrix, DistanceMatrixF32};
+pub use matrix::{DistError, DistanceMatrix};
 pub use neighbors::NeighborLists;
 pub use order::{argmin_slice, argmin_total, total_min};
 

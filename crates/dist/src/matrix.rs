@@ -1,4 +1,4 @@
-//! The flat row-major distance matrix and its f32 mirror.
+//! The flat row-major distance matrix.
 
 use std::fmt;
 
@@ -209,53 +209,6 @@ impl DistanceMatrix {
     }
 }
 
-/// Single-precision mirror of a [`DistanceMatrix`] for bandwidth-bound fast paths.
-///
-/// Half the bytes per cell doubles the effective cache footprint of a sub-problem, and
-/// f32 lanes pack 8-wide instead of 4-wide. The mirror is strictly opt-in: move
-/// *selection* may read it, but acceptance arithmetic and reported lengths always use
-/// the f64 source so default results stay bit-identical.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct DistanceMatrixF32 {
-    n: usize,
-    data: Vec<f32>,
-}
-
-impl DistanceMatrixF32 {
-    /// Builds the mirror by narrowing every cell of `source`.
-    pub fn from_f64(source: &DistanceMatrix) -> Self {
-        let mut m = Self::default();
-        m.mirror(source);
-        m
-    }
-
-    /// Re-fills the mirror in place from `source`, reusing the allocation.
-    pub fn mirror(&mut self, source: &DistanceMatrix) {
-        self.n = source.n();
-        self.data.clear();
-        self.data.extend(source.as_flat().iter().map(|&d| d as f32));
-    }
-
-    /// Matrix side length.
-    #[inline]
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// The narrowed distance from `i` to `j`.
-    #[inline]
-    pub fn get(&self, i: usize, j: usize) -> f32 {
-        debug_assert!(i < self.n && j < self.n);
-        self.data[i * self.n + j]
-    }
-
-    /// Row `i` as one contiguous slice.
-    #[inline]
-    pub fn row(&self, i: usize) -> &[f32] {
-        &self.data[i * self.n..(i + 1) * self.n]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,19 +265,6 @@ mod tests {
         assert!(d.is_empty());
         assert_eq!(d.rows().count(), 0);
         assert_eq!(d.max_finite(), 0.0);
-    }
-
-    #[test]
-    fn f32_mirror_narrows_every_cell() {
-        let d = DistanceMatrix::from_fn(6, |i, j| (i + j) as f64 / 3.0);
-        let m = DistanceMatrixF32::from_f64(&d);
-        assert_eq!(m.n(), 6);
-        for i in 0..6 {
-            for j in 0..6 {
-                assert_eq!(m.get(i, j), d.get(i, j) as f32);
-            }
-        }
-        assert_eq!(m.row(2).len(), 6);
     }
 
     #[test]

@@ -445,8 +445,8 @@ struct FleetInner {
     /// level ([`ServiceMetrics::merge_from`]).
     retired: ServiceMetrics,
     /// Cache counters of retired generations (`entries`/`bytes` zeroed: a dead
-    /// cache holds nothing). The flag records whether any retiree had a cache.
-    retired_cache: Mutex<(bool, SolutionCacheStats)>,
+    /// cache holds nothing); `None` until a retiree had a cache.
+    retired_cache: Mutex<Option<SolutionCacheStats>>,
     resubmitted: AtomicU64,
     scatter_cursor: AtomicUsize,
     shutdown: AtomicBool,
@@ -483,32 +483,6 @@ fn lock<'a, T>(mutex: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-fn zero_cache_stats() -> SolutionCacheStats {
-    SolutionCacheStats {
-        hits: 0,
-        exact_hits: 0,
-        remapped_hits: 0,
-        misses: 0,
-        insertions: 0,
-        evictions: 0,
-        expirations: 0,
-        entries: 0,
-        bytes: 0,
-    }
-}
-
-fn add_cache_stats(total: &mut SolutionCacheStats, add: &SolutionCacheStats) {
-    total.hits += add.hits;
-    total.exact_hits += add.exact_hits;
-    total.remapped_hits += add.remapped_hits;
-    total.misses += add.misses;
-    total.insertions += add.insertions;
-    total.evictions += add.evictions;
-    total.expirations += add.expirations;
-    total.entries += add.entries;
-    total.bytes += add.bytes;
-}
-
 impl FleetInner {
     /// The tracer every shard generation records into, when tracing is enabled
     /// (fleet-level tracer wins over one set on the shard template).
@@ -543,13 +517,12 @@ impl FleetInner {
     /// Folds retiring `service`'s counters into the fleet-lifetime accumulators.
     fn retire(&self, service: &Arc<DispatchService>) {
         self.retired.merge_from(service.metrics());
-        if let Some(stats) = service.snapshot().cache {
-            let mut dead = stats;
+        if let Some(mut dead) = service.snapshot().cache {
             dead.entries = 0;
             dead.bytes = 0;
-            let mut guard = lock(&self.retired_cache);
-            guard.0 = true;
-            add_cache_stats(&mut guard.1, &dead);
+            lock(&self.retired_cache)
+                .get_or_insert_with(SolutionCacheStats::default)
+                .accumulate(&dead);
         }
     }
 
@@ -561,8 +534,7 @@ impl FleetInner {
         sample.reset(st.cells.len());
         sample.at = self.started_at.elapsed();
         sample.fleet.fill_from(&self.retired);
-        let (any_cache, cache_total) = *lock(&self.retired_cache);
-        sample.fleet.cache = any_cache.then_some(cache_total);
+        sample.fleet.cache = *lock(&self.retired_cache);
         for (index, cell) in st.cells.iter().enumerate() {
             let slot = &mut sample.shards[index];
             slot.generation = cell.generation;
@@ -801,7 +773,7 @@ impl FleetInner {
         let uptime = now.duration_since(self.started_at);
         let sink = ServiceMetrics::new();
         sink.merge_from(&self.retired);
-        let (mut any_cache, mut cache_total) = *lock(&self.retired_cache);
+        let mut cache_total = *lock(&self.retired_cache);
         let table = Arc::clone(&self.table.read().unwrap_or_else(PoisonError::into_inner));
         let mut shards = Vec::with_capacity(st.cells.len());
         for cell in &st.cells {
@@ -810,8 +782,9 @@ impl FleetInner {
                 service.snapshot()
             });
             if let Some(stats) = service_snapshot.as_ref().and_then(|s| s.cache) {
-                any_cache = true;
-                add_cache_stats(&mut cache_total, &stats);
+                cache_total
+                    .get_or_insert_with(SolutionCacheStats::default)
+                    .accumulate(&stats);
             }
             let in_state = now.duration_since(cell.since);
             shards.push(ShardSnapshot {
@@ -845,7 +818,7 @@ impl FleetInner {
         } else {
             0.0
         };
-        service.cache = any_cache.then_some(cache_total);
+        service.cache = cache_total;
         FleetSnapshot {
             uptime,
             service,
@@ -1035,7 +1008,7 @@ impl Fleet {
             wake: Condvar::new(),
             table: RwLock::new(Arc::new(RoutingTable::empty(replicas))),
             retired: ServiceMetrics::new(),
-            retired_cache: Mutex::new((false, zero_cache_stats())),
+            retired_cache: Mutex::new(None),
             resubmitted: AtomicU64::new(0),
             scatter_cursor: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),

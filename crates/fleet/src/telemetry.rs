@@ -15,8 +15,8 @@
 use std::fmt::Write as _;
 
 use taxi::SolverBackend;
-use taxi_dispatch::{HistogramSummary, ServiceSnapshot};
-use taxi_obs::AlertState;
+use taxi_dispatch::{service_counters, ServiceSnapshot};
+use taxi_obs::{AlertState, SloStatus};
 
 use crate::fleet::{Fleet, FleetSnapshot};
 use crate::state::ShardState;
@@ -46,298 +46,257 @@ const fn family(name: &'static str, kind: &'static str, help: &'static str) -> F
     FamilyInfo { name, kind, help }
 }
 
-/// The central family registry: **every** family [`Telemetry::render`] can
-/// emit, in page order. Families whose section is conditional (cache, trace,
-/// SLO) are still registered — they are simply absent from pages rendered
-/// without that subsystem.
-pub const FAMILIES: &[FamilyInfo] = &[
-    family(
-        "taxi_fleet_uptime_seconds",
-        "gauge",
-        "Time since the fleet started",
-    ),
-    family("taxi_fleet_shards", "gauge", "Shard slots"),
-    family(
-        "taxi_fleet_shards_in_rotation",
-        "gauge",
-        "Shards currently owning ring weight",
-    ),
-    family(
-        "taxi_fleet_resubmitted_total",
-        "counter",
-        "Orphaned pendings re-adopted onto surviving shards",
-    ),
-    family(
-        "taxi_fleet_orphaned",
-        "gauge",
-        "Pendings currently orphaned (tickets live)",
-    ),
-    family(
-        "taxi_fleet_reconcile_ticks_total",
-        "counter",
-        "Reconcile passes completed",
-    ),
-    family(
-        "taxi_fleet_history_samples_total",
-        "counter",
-        "Samples recorded into the observability history ring",
-    ),
-    family(
-        "taxi_service_uptime_seconds",
-        "gauge",
-        "Time base of the aggregate service counters",
-    ),
-    family(
-        "taxi_service_captured_at_seconds",
-        "gauge",
-        "Monotonic capture timestamp of this page (same clock as uptime; diff two pages for exact rates)",
-    ),
-    family("taxi_service_submitted_total", "counter", "Requests admitted"),
-    family(
-        "taxi_service_completed_total",
-        "counter",
-        "Requests solved successfully",
-    ),
-    family(
-        "taxi_service_failed_total",
-        "counter",
-        "Requests whose solve failed",
-    ),
-    family(
-        "taxi_service_shed_total",
-        "counter",
-        "Requests shed by admission",
-    ),
-    family(
-        "taxi_service_rejected_total",
-        "counter",
-        "Submissions refused outright",
-    ),
-    family(
-        "taxi_service_degraded_total",
-        "counter",
-        "Completions served degraded",
-    ),
-    family(
-        "taxi_service_deadline_misses_total",
-        "counter",
-        "Completions resolved after their deadline",
-    ),
-    family(
-        "taxi_service_cache_hits_total",
-        "counter",
-        "Completions served from the solution cache",
-    ),
-    family(
-        "taxi_service_coalesced_total",
-        "counter",
-        "Completions coalesced onto another request's solve",
-    ),
-    family(
-        "taxi_service_solved_fresh_total",
-        "counter",
-        "Completions that ran the solve pipeline",
-    ),
-    family(
-        "taxi_service_worker_panics_total",
-        "counter",
-        "Contained worker solve panics (fleet crash signal)",
-    ),
-    family(
-        "taxi_service_explored_total",
-        "counter",
-        "Routed solves placed by the exploration arm",
-    ),
-    family(
-        "taxi_service_snapshots_written_total",
-        "counter",
-        "Durability snapshots written (periodic + shutdown)",
-    ),
-    family(
-        "taxi_service_snapshots_restored_total",
-        "counter",
-        "Durability snapshots restored at service start",
-    ),
-    family(
-        "taxi_service_snapshots_rejected_total",
-        "counter",
-        "Durability snapshots rejected (corrupt/skewed restore or failed write)",
-    ),
-    family(
-        "taxi_service_last_snapshot_age_seconds",
-        "gauge",
-        "Seconds since the last durability snapshot was written",
-    ),
-    family("taxi_service_batches_total", "counter", "Micro-batches formed"),
-    family("taxi_service_mean_batch_size", "gauge", "Mean formed batch size"),
-    family(
-        "taxi_service_throughput_per_sec",
-        "gauge",
-        "Completions per second of uptime",
-    ),
-    family(
-        "taxi_service_solve_avoidance_rate",
-        "gauge",
-        "Fraction of completions that avoided a solve",
-    ),
-    family(
-        "taxi_service_exploration_share",
-        "gauge",
-        "Fraction of routed solves placed by exploration",
-    ),
-    family(
-        "taxi_service_routed_total",
-        "counter",
-        "Fresh solves dispatched through the adaptive router, by chosen backend",
-    ),
-    family(
-        "taxi_service_quality_count",
-        "counter",
-        "Routed solves with a quality ratio observation",
-    ),
-    family(
-        "taxi_service_quality_ratio",
-        "gauge",
-        "Routed-solve quality ratio against the shadow reference (1.0 = reference)",
-    ),
-    family(
-        "taxi_service_latency_count",
-        "counter",
-        "Observations per latency histogram",
-    ),
-    family(
-        "taxi_service_latency_seconds",
-        "gauge",
-        "Latency distribution summaries (conservative bucket upper bounds)",
-    ),
-    family(
-        "taxi_service_stage_seconds_total",
-        "counter",
-        "Accumulated host seconds per pipeline stage",
-    ),
-    family(
-        "taxi_cache_hits_total",
-        "counter",
-        "Cache lookups served (exact + remapped)",
-    ),
-    family(
-        "taxi_cache_exact_hits_total",
-        "counter",
-        "Exact-fingerprint cache hits",
-    ),
-    family(
-        "taxi_cache_remapped_hits_total",
-        "counter",
-        "Cache hits served through permutation remapping",
-    ),
-    family("taxi_cache_misses_total", "counter", "Cache lookups that missed"),
-    family("taxi_cache_insertions_total", "counter", "Entries inserted"),
-    family(
-        "taxi_cache_evictions_total",
-        "counter",
-        "Entries evicted by capacity",
-    ),
-    family(
-        "taxi_cache_expirations_total",
-        "counter",
-        "Entries expired by TTL",
-    ),
-    family("taxi_cache_entries", "gauge", "Live cache entries"),
-    family("taxi_cache_bytes", "gauge", "Estimated live cache bytes"),
-    family("taxi_cache_hit_rate", "gauge", "Lifetime cache hit rate"),
-    family(
-        "taxi_shard_state",
-        "gauge",
-        "Shard lifecycle state (1 for the current state)",
-    ),
-    family(
-        "taxi_shard_generation",
-        "counter",
-        "Service generation (bumped every restart)",
-    ),
-    family(
-        "taxi_shard_in_state_seconds",
-        "gauge",
-        "Time spent in the current state",
-    ),
-    family(
-        "taxi_shard_stuck",
-        "gauge",
-        "Whether the shard has overstayed its state SLA",
-    ),
-    family(
-        "taxi_shard_ring_share",
-        "gauge",
-        "Fraction of the consistent-hash ring owned",
-    ),
-    family(
-        "taxi_shard_queue_depth",
-        "gauge",
-        "Instantaneous admission-queue depth",
-    ),
-    family(
-        "taxi_shard_healthy",
-        "gauge",
-        "Effective health verdict (1 healthy, 0 unhealthy)",
-    ),
-    family(
-        "taxi_shard_health_overridden",
-        "gauge",
-        "Whether an operator override pins the verdict",
-    ),
-    family("taxi_trace_minted_total", "counter", "Trace ids minted"),
-    family(
-        "taxi_trace_kept_total",
-        "counter",
-        "Traces kept by tail sampling",
-    ),
-    family(
-        "taxi_trace_dropped_total",
-        "counter",
-        "Traces dropped by tail sampling",
-    ),
-    family(
-        "taxi_trace_recorded_spans_total",
-        "counter",
-        "Spans pushed into the flight recorder",
-    ),
-    family(
-        "taxi_trace_resident_spans",
-        "gauge",
-        "Spans currently resident in the rings",
-    ),
-    family("taxi_trace_rings", "gauge", "Registered recorder rings"),
-    family(
-        "taxi_trace_ring_capacity",
-        "gauge",
-        "Capacity of each recorder ring",
-    ),
-    family(
-        "taxi_slo_objective",
-        "gauge",
-        "Configured SLO objective (fraction of good events)",
-    ),
-    family(
-        "taxi_slo_error_budget",
-        "gauge",
-        "Error budget (1 - objective)",
-    ),
-    family(
-        "taxi_slo_burn_rate",
-        "gauge",
-        "Windowed error rate over error budget, per alert window",
-    ),
-    family(
-        "taxi_slo_window_events",
-        "gauge",
-        "Events observed in each alert window",
-    ),
-    family(
-        "taxi_slo_firing",
-        "gauge",
-        "Whether the SLO's multi-window burn-rate alert is firing",
-    ),
-];
+/// [`service_counters!`] callback: the family registry with one `counter`
+/// family per scalar service counter spliced between the `head` and `tail`
+/// families, plus the emitter of those counter families.
+macro_rules! registry {
+    (
+        { [$($head:tt)*] [$($tail:tt)*] }
+        $($field:ident: $family:literal, $help:literal;)*
+        ; $($internal:tt)*
+    ) => {
+        /// The central family registry: **every** family [`Telemetry::render`]
+        /// can emit, in page order. Families whose section is conditional
+        /// (cache, trace, SLO) are still registered — they are simply absent
+        /// from pages rendered without that subsystem.
+        pub const FAMILIES: &[FamilyInfo] = &[
+            $($head)*
+            $(family($family, "counter", $help),)*
+            $($tail)*
+        ];
+
+        /// Emits the scalar service counter families, in registry order.
+        fn render_counters(page: &mut Page, service: &ServiceSnapshot) {
+            $(page.open($family).sample($family, service.$field as f64);)*
+        }
+    };
+}
+
+service_counters!(registry! {
+    [
+        family(
+            "taxi_fleet_uptime_seconds",
+            "gauge",
+            "Time since the fleet started",
+        ),
+        family("taxi_fleet_shards", "gauge", "Shard slots"),
+        family(
+            "taxi_fleet_shards_in_rotation",
+            "gauge",
+            "Shards currently owning ring weight",
+        ),
+        family(
+            "taxi_fleet_resubmitted_total",
+            "counter",
+            "Orphaned pendings re-adopted onto surviving shards",
+        ),
+        family(
+            "taxi_fleet_orphaned",
+            "gauge",
+            "Pendings currently orphaned (tickets live)",
+        ),
+        family(
+            "taxi_fleet_reconcile_ticks_total",
+            "counter",
+            "Reconcile passes completed",
+        ),
+        family(
+            "taxi_fleet_history_samples_total",
+            "counter",
+            "Samples recorded into the observability history ring",
+        ),
+        family(
+            "taxi_service_uptime_seconds",
+            "gauge",
+            "Time base of the aggregate service counters",
+        ),
+        family(
+            "taxi_service_captured_at_seconds",
+            "gauge",
+            "Monotonic capture timestamp of this page (same clock as uptime; diff two pages for exact rates)",
+        ),
+    ]
+    [
+        family(
+            "taxi_service_solved_fresh_total",
+            "counter",
+            "Completions that ran the solve pipeline",
+        ),
+        family(
+            "taxi_service_last_snapshot_age_seconds",
+            "gauge",
+            "Seconds since the last durability snapshot was written",
+        ),
+        family("taxi_service_mean_batch_size", "gauge", "Mean formed batch size"),
+        family(
+            "taxi_service_throughput_per_sec",
+            "gauge",
+            "Completions per second of uptime",
+        ),
+        family(
+            "taxi_service_solve_avoidance_rate",
+            "gauge",
+            "Fraction of completions that avoided a solve",
+        ),
+        family(
+            "taxi_service_exploration_share",
+            "gauge",
+            "Fraction of routed solves placed by exploration",
+        ),
+        family(
+            "taxi_service_routed_total",
+            "counter",
+            "Fresh solves dispatched through the adaptive router, by chosen backend",
+        ),
+        family(
+            "taxi_service_quality_count",
+            "counter",
+            "Routed solves with a quality ratio observation",
+        ),
+        family(
+            "taxi_service_quality_ratio",
+            "gauge",
+            "Routed-solve quality ratio against the shadow reference (1.0 = reference)",
+        ),
+        family(
+            "taxi_service_latency_count",
+            "counter",
+            "Observations per latency histogram",
+        ),
+        family(
+            "taxi_service_latency_seconds",
+            "gauge",
+            "Latency distribution summaries (conservative bucket upper bounds)",
+        ),
+        family(
+            "taxi_service_stage_seconds_total",
+            "counter",
+            "Accumulated host seconds per pipeline stage",
+        ),
+        family(
+            "taxi_cache_hits_total",
+            "counter",
+            "Cache lookups served (exact + remapped)",
+        ),
+        family(
+            "taxi_cache_exact_hits_total",
+            "counter",
+            "Exact-fingerprint cache hits",
+        ),
+        family(
+            "taxi_cache_remapped_hits_total",
+            "counter",
+            "Cache hits served through permutation remapping",
+        ),
+        family("taxi_cache_misses_total", "counter", "Cache lookups that missed"),
+        family("taxi_cache_insertions_total", "counter", "Entries inserted"),
+        family(
+            "taxi_cache_evictions_total",
+            "counter",
+            "Entries evicted by capacity",
+        ),
+        family(
+            "taxi_cache_expirations_total",
+            "counter",
+            "Entries expired by TTL",
+        ),
+        family("taxi_cache_entries", "gauge", "Live cache entries"),
+        family("taxi_cache_bytes", "gauge", "Estimated live cache bytes"),
+        family("taxi_cache_hit_rate", "gauge", "Lifetime cache hit rate"),
+        family(
+            "taxi_shard_state",
+            "gauge",
+            "Shard lifecycle state (1 for the current state)",
+        ),
+        family(
+            "taxi_shard_generation",
+            "counter",
+            "Service generation (bumped every restart)",
+        ),
+        family(
+            "taxi_shard_in_state_seconds",
+            "gauge",
+            "Time spent in the current state",
+        ),
+        family(
+            "taxi_shard_stuck",
+            "gauge",
+            "Whether the shard has overstayed its state SLA",
+        ),
+        family(
+            "taxi_shard_ring_share",
+            "gauge",
+            "Fraction of the consistent-hash ring owned",
+        ),
+        family(
+            "taxi_shard_queue_depth",
+            "gauge",
+            "Instantaneous admission-queue depth",
+        ),
+        family(
+            "taxi_shard_healthy",
+            "gauge",
+            "Effective health verdict (1 healthy, 0 unhealthy)",
+        ),
+        family(
+            "taxi_shard_health_overridden",
+            "gauge",
+            "Whether an operator override pins the verdict",
+        ),
+        family("taxi_trace_minted_total", "counter", "Trace ids minted"),
+        family(
+            "taxi_trace_kept_total",
+            "counter",
+            "Traces kept by tail sampling",
+        ),
+        family(
+            "taxi_trace_dropped_total",
+            "counter",
+            "Traces dropped by tail sampling",
+        ),
+        family(
+            "taxi_trace_recorded_spans_total",
+            "counter",
+            "Spans pushed into the flight recorder",
+        ),
+        family(
+            "taxi_trace_resident_spans",
+            "gauge",
+            "Spans currently resident in the rings",
+        ),
+        family("taxi_trace_rings", "gauge", "Registered recorder rings"),
+        family(
+            "taxi_trace_ring_capacity",
+            "gauge",
+            "Capacity of each recorder ring",
+        ),
+        family(
+            "taxi_slo_objective",
+            "gauge",
+            "Configured SLO objective (fraction of good events)",
+        ),
+        family(
+            "taxi_slo_error_budget",
+            "gauge",
+            "Error budget (1 - objective)",
+        ),
+        family(
+            "taxi_slo_burn_rate",
+            "gauge",
+            "Windowed error rate over error budget, per alert window",
+        ),
+        family(
+            "taxi_slo_window_events",
+            "gauge",
+            "Events observed in each alert window",
+        ),
+        family(
+            "taxi_slo_firing",
+            "gauge",
+            "Whether the SLO's multi-window burn-rate alert is firing",
+        ),
+    ]
+});
 
 /// Looks a family up in the registry (`None` for unregistered names).
 pub fn family_info(name: &str) -> Option<&'static FamilyInfo> {
@@ -429,26 +388,37 @@ impl Page {
     }
 }
 
-/// Emits one latency histogram summary as `*_count` plus a stat-labelled gauge
-/// family (seconds).
-fn histogram(page: &mut Page, path: &str, summary: &HistogramSummary) {
-    page.labelled(
-        "taxi_service_latency_count",
-        &label("path", path),
-        summary.count as f64,
-    );
-    for (stat, duration) in [
-        ("mean", summary.mean),
-        ("p50", summary.p50),
-        ("p90", summary.p90),
-        ("p99", summary.p99),
-        ("max", summary.max),
-    ] {
+/// Emits the three latency histogram summaries as one `*_count` family plus a
+/// stat-labelled gauge family (seconds), each family in one block.
+fn latencies(page: &mut Page, service: &ServiceSnapshot) {
+    let paths = [
+        ("queue_wait", &service.queue_wait),
+        ("solve", &service.solve),
+        ("end_to_end", &service.end_to_end),
+    ];
+    page.open("taxi_service_latency_count");
+    for (path, summary) in paths {
         page.labelled(
-            "taxi_service_latency_seconds",
-            &format!("{},{}", label("path", path), label("stat", stat)),
-            duration.as_secs_f64(),
+            "taxi_service_latency_count",
+            &label("path", path),
+            summary.count as f64,
         );
+    }
+    page.open("taxi_service_latency_seconds");
+    for (path, summary) in paths {
+        for (stat, duration) in [
+            ("mean", summary.mean),
+            ("p50", summary.p50),
+            ("p90", summary.p90),
+            ("p99", summary.p99),
+            ("max", summary.max),
+        ] {
+            page.labelled(
+                "taxi_service_latency_seconds",
+                &format!("{},{}", label("path", path), label("stat", stat)),
+                duration.as_secs_f64(),
+            );
+        }
     }
 }
 
@@ -460,38 +430,11 @@ fn render_service(page: &mut Page, service: &ServiceSnapshot) {
         "taxi_service_captured_at_seconds",
         service.captured_at.as_secs_f64(),
     );
-    for (name, count) in [
-        ("taxi_service_submitted_total", service.submitted),
-        ("taxi_service_completed_total", service.completed),
-        ("taxi_service_failed_total", service.failed),
-        ("taxi_service_shed_total", service.shed),
-        ("taxi_service_rejected_total", service.rejected),
-        ("taxi_service_degraded_total", service.degraded),
-        (
-            "taxi_service_deadline_misses_total",
-            service.deadline_misses,
-        ),
-        ("taxi_service_cache_hits_total", service.cache_hits),
-        ("taxi_service_coalesced_total", service.coalesced),
-        ("taxi_service_solved_fresh_total", service.solved_fresh()),
-        ("taxi_service_worker_panics_total", service.worker_panics),
-        ("taxi_service_explored_total", service.explored),
-        (
-            "taxi_service_snapshots_written_total",
-            service.snapshots_written,
-        ),
-        (
-            "taxi_service_snapshots_restored_total",
-            service.snapshots_restored,
-        ),
-        (
-            "taxi_service_snapshots_rejected_total",
-            service.snapshots_rejected,
-        ),
-        ("taxi_service_batches_total", service.batches),
-    ] {
-        page.open(name).sample(name, count as f64);
-    }
+    render_counters(page, service);
+    page.open("taxi_service_solved_fresh_total").sample(
+        "taxi_service_solved_fresh_total",
+        service.solved_fresh() as f64,
+    );
     // The family header always renders (the registry is the completeness
     // oracle); the series itself exists only once a snapshot has been written —
     // "absent" is the honest reading of "never", not an age of zero.
@@ -532,11 +475,7 @@ fn render_service(page: &mut Page, service: &ServiceSnapshot) {
     ] {
         page.labelled("taxi_service_quality_ratio", &label("stat", stat), ratio);
     }
-    page.open("taxi_service_latency_count");
-    page.open("taxi_service_latency_seconds");
-    histogram(page, "queue_wait", &service.queue_wait);
-    histogram(page, "solve", &service.solve);
-    histogram(page, "end_to_end", &service.end_to_end);
+    latencies(page, service);
     page.open("taxi_service_stage_seconds_total");
     for (index, stage) in STAGE_LABELS.iter().enumerate() {
         page.labelled(
@@ -659,33 +598,44 @@ impl Telemetry {
             }
         }
 
-        if !snapshot.alerts.is_empty() {
-            for name in [
-                "taxi_slo_objective",
-                "taxi_slo_error_budget",
-                "taxi_slo_burn_rate",
-                "taxi_slo_window_events",
-                "taxi_slo_firing",
-            ] {
-                page.open(name);
-            }
-            for status in &snapshot.alerts {
-                let slo = label("slo", &status.name);
-                page.labelled("taxi_slo_objective", &slo, status.objective);
-                page.labelled("taxi_slo_error_budget", &slo, status.budget);
-                for (window, burn, events) in [
+        // One block per SLO family, each holding every rule's samples.
+        let alerts = &snapshot.alerts;
+        if !alerts.is_empty() {
+            let slo = |status: &SloStatus| label("slo", &status.name);
+            let windows = |status: &SloStatus| {
+                [
                     ("fast", status.fast_burn, status.fast_events),
                     ("slow", status.slow_burn, status.slow_events),
-                ] {
-                    let labels = format!("{slo},{}", label("window", window));
+                ]
+                .map(|(window, burn, events)| {
+                    let labels = format!("{},{}", slo(status), label("window", window));
+                    (labels, burn, events as f64)
+                })
+            };
+            page.open("taxi_slo_objective");
+            for status in alerts {
+                page.labelled("taxi_slo_objective", &slo(status), status.objective);
+            }
+            page.open("taxi_slo_error_budget");
+            for status in alerts {
+                page.labelled("taxi_slo_error_budget", &slo(status), status.budget);
+            }
+            page.open("taxi_slo_burn_rate");
+            for status in alerts {
+                for (labels, burn, _) in windows(status) {
                     page.labelled("taxi_slo_burn_rate", &labels, burn);
-                    page.labelled("taxi_slo_window_events", &labels, events as f64);
                 }
-                page.labelled(
-                    "taxi_slo_firing",
-                    &slo,
-                    f64::from(u8::from(status.state == AlertState::Firing)),
-                );
+            }
+            page.open("taxi_slo_window_events");
+            for status in alerts {
+                for (labels, _, events) in windows(status) {
+                    page.labelled("taxi_slo_window_events", &labels, events);
+                }
+            }
+            page.open("taxi_slo_firing");
+            for status in alerts {
+                let firing = status.state == AlertState::Firing;
+                page.labelled("taxi_slo_firing", &slo(status), f64::from(u8::from(firing)));
             }
         }
         page.out

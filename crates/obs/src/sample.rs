@@ -11,7 +11,9 @@
 use std::time::Duration;
 
 use taxi::{SolutionCacheStats, SolverBackend};
-use taxi_dispatch::{HistogramBuckets, QualityBuckets, ServiceMetrics};
+use taxi_dispatch::{
+    counter_fields, service_counters, HistogramBuckets, QualityBuckets, ServiceMetrics,
+};
 
 /// Number of routed solver backends (sizing for per-backend arrays).
 pub const BACKENDS: usize = SolverBackend::ALL.len();
@@ -28,70 +30,48 @@ pub struct BackendCounters {
     pub quality: QualityBuckets,
 }
 
-/// Cumulative counter capture of one dispatch service (or a fleet-wide merge
-/// of several): every scalar counter plus the raw bucket arrays of every
-/// histogram, copied without allocation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ServiceCounters {
-    /// Requests admitted into the queue.
-    pub submitted: u64,
-    /// Requests solved successfully.
-    pub completed: u64,
-    /// Requests whose solve failed.
-    pub failed: u64,
-    /// Requests shed by the admission policy.
-    pub shed: u64,
-    /// Submissions refused outright.
-    pub rejected: u64,
-    /// Completions served by the degraded backend.
-    pub degraded: u64,
-    /// Completions that resolved after their deadline.
-    pub deadline_misses: u64,
-    /// Completions served from the solution cache.
-    pub cache_hits: u64,
-    /// Completions coalesced onto another request's solve.
-    pub coalesced: u64,
-    /// Contained worker solve panics.
-    pub worker_panics: u64,
-    /// Routed solves placed by the exploration arm.
-    pub explored: u64,
-    /// Statistics of the attached solution cache, when one exists.
-    pub cache: Option<SolutionCacheStats>,
-    /// Queue-wait latency buckets.
-    pub queue_wait: HistogramBuckets,
-    /// Solve latency buckets.
-    pub solve: HistogramBuckets,
-    /// End-to-end latency buckets.
-    pub end_to_end: HistogramBuckets,
-    /// Quality-ratio buckets of routed solves.
-    pub quality: QualityBuckets,
-    /// Per-backend lanes, indexed like [`SolverBackend::ALL`].
-    pub per_backend: [BackendCounters; BACKENDS],
+service_counters!(counter_fields! {
+    /// Cumulative counter capture of one dispatch service (or a fleet-wide
+    /// merge of several): every scalar counter plus the raw bucket arrays of
+    /// every histogram, copied without allocation.
+    #[derive(Debug, Clone, Copy, PartialEq, Default)]
+    pub struct ServiceCounters {
+        /// Statistics of the attached solution cache, when one exists.
+        pub cache: Option<SolutionCacheStats>,
+        /// Queue-wait latency buckets.
+        pub queue_wait: HistogramBuckets,
+        /// Solve latency buckets.
+        pub solve: HistogramBuckets,
+        /// End-to-end latency buckets.
+        pub end_to_end: HistogramBuckets,
+        /// Quality-ratio buckets of routed solves.
+        pub quality: QualityBuckets,
+        /// Per-backend lanes, indexed like [`SolverBackend::ALL`].
+        pub per_backend: [BackendCounters; BACKENDS],
+    }
+});
+
+/// [`service_counters!`] callback: the scalar half of
+/// [`ServiceCounters::fill_from`] and [`ServiceCounters::accumulate`].
+macro_rules! scalar_counters {
+    (
+        {}
+        $($field:ident: $family:literal, $help:literal;)*
+        ; $($internal:tt)*
+    ) => {
+        impl ServiceCounters {
+            fn load_scalars(&mut self, metrics: &ServiceMetrics) {
+                $(self.$field = metrics.$field();)*
+            }
+
+            fn add_scalars(&mut self, other: &Self) {
+                $(self.$field += other.$field;)*
+            }
+        }
+    };
 }
 
-impl Default for ServiceCounters {
-    fn default() -> Self {
-        Self {
-            submitted: 0,
-            completed: 0,
-            failed: 0,
-            shed: 0,
-            rejected: 0,
-            degraded: 0,
-            deadline_misses: 0,
-            cache_hits: 0,
-            coalesced: 0,
-            worker_panics: 0,
-            explored: 0,
-            cache: None,
-            queue_wait: HistogramBuckets::default(),
-            solve: HistogramBuckets::default(),
-            end_to_end: HistogramBuckets::default(),
-            quality: QualityBuckets::default(),
-            per_backend: [BackendCounters::default(); BACKENDS],
-        }
-    }
-}
+service_counters!(scalar_counters! {});
 
 fn add_hist(into: &mut HistogramBuckets, from: &HistogramBuckets) {
     for (mine, theirs) in into.counts.iter_mut().zip(&from.counts) {
@@ -111,20 +91,6 @@ fn add_quality(into: &mut QualityBuckets, from: &QualityBuckets) {
     into.max_micro = into.max_micro.max(from.max_micro);
 }
 
-fn add_cache(into: &mut Option<SolutionCacheStats>, from: &Option<SolutionCacheStats>) {
-    let Some(theirs) = from else { return };
-    let mine = into.get_or_insert_with(SolutionCacheStats::default);
-    mine.hits += theirs.hits;
-    mine.exact_hits += theirs.exact_hits;
-    mine.remapped_hits += theirs.remapped_hits;
-    mine.misses += theirs.misses;
-    mine.insertions += theirs.insertions;
-    mine.evictions += theirs.evictions;
-    mine.expirations += theirs.expirations;
-    mine.entries += theirs.entries;
-    mine.bytes += theirs.bytes;
-}
-
 impl ServiceCounters {
     /// Resets every counter to zero (the accumulation identity).
     pub fn clear(&mut self) {
@@ -136,18 +102,7 @@ impl ServiceCounters {
     /// [`ServiceMetrics`] has no attached cache; callers that do have one
     /// assign it afterwards.
     pub fn fill_from(&mut self, metrics: &ServiceMetrics) {
-        let snap = metrics.snapshot();
-        self.submitted = snap.submitted;
-        self.completed = snap.completed;
-        self.failed = snap.failed;
-        self.shed = snap.shed;
-        self.rejected = snap.rejected;
-        self.degraded = snap.degraded;
-        self.deadline_misses = snap.deadline_misses;
-        self.cache_hits = snap.cache_hits;
-        self.coalesced = snap.coalesced;
-        self.worker_panics = snap.worker_panics;
-        self.explored = snap.explored;
+        self.load_scalars(metrics);
         self.cache = None;
         metrics
             .queue_wait_histogram()
@@ -159,7 +114,7 @@ impl ServiceCounters {
         metrics.quality_histogram().load_into(&mut self.quality);
         for (index, backend) in SolverBackend::ALL.iter().enumerate() {
             let lane = &mut self.per_backend[index];
-            lane.routed = snap.routed_per_backend[index];
+            lane.routed = metrics.routed(*backend);
             metrics
                 .backend_solve_histogram(*backend)
                 .load_into(&mut lane.solve);
@@ -173,18 +128,12 @@ impl ServiceCounters {
     /// (retired generations + every live shard) at capture time. Histograms
     /// add bucket-wise, so the aggregate is exact at bucket resolution.
     pub fn accumulate(&mut self, other: &Self) {
-        self.submitted += other.submitted;
-        self.completed += other.completed;
-        self.failed += other.failed;
-        self.shed += other.shed;
-        self.rejected += other.rejected;
-        self.degraded += other.degraded;
-        self.deadline_misses += other.deadline_misses;
-        self.cache_hits += other.cache_hits;
-        self.coalesced += other.coalesced;
-        self.worker_panics += other.worker_panics;
-        self.explored += other.explored;
-        add_cache(&mut self.cache, &other.cache);
+        self.add_scalars(other);
+        if let Some(theirs) = &other.cache {
+            self.cache
+                .get_or_insert_with(SolutionCacheStats::default)
+                .accumulate(theirs);
+        }
         add_hist(&mut self.queue_wait, &other.queue_wait);
         add_hist(&mut self.solve, &other.solve);
         add_hist(&mut self.end_to_end, &other.end_to_end);

@@ -13,7 +13,10 @@
 
 use std::time::Duration;
 
-use taxi_dispatch::{HistogramBuckets, LatencyHistogram, QualityBuckets, QualityHistogram};
+use taxi_dispatch::{
+    counter_fields, service_counters, HistogramBuckets, LatencyHistogram, QualityBuckets,
+    QualityHistogram,
+};
 
 use crate::sample::{ServiceCounters, BACKENDS};
 
@@ -212,51 +215,50 @@ pub struct BackendWindow {
     pub quality: QualityWindow,
 }
 
-/// Full windowed view of one service (or the fleet aggregate): every scalar
-/// counter delta plus the windowed histograms, over `span` of wall time.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ServiceWindow {
-    /// Wall-clock span between the window's edges.
-    pub span: Duration,
-    /// Requests admitted inside the window.
-    pub submitted: u64,
-    /// Requests completed inside the window.
-    pub completed: u64,
-    /// Requests failed inside the window.
-    pub failed: u64,
-    /// Requests shed inside the window.
-    pub shed: u64,
-    /// Submissions rejected inside the window.
-    pub rejected: u64,
-    /// Degraded completions inside the window.
-    pub degraded: u64,
-    /// Deadline misses inside the window.
-    pub deadline_misses: u64,
-    /// Cache-served completions inside the window.
-    pub cache_hits: u64,
-    /// Coalesced completions inside the window.
-    pub coalesced: u64,
-    /// Contained worker panics inside the window.
-    pub worker_panics: u64,
-    /// Exploration-arm routed solves inside the window.
-    pub explored: u64,
-    /// Solution-cache lookup hits inside the window (0 without a cache).
-    pub cache_lookup_hits: u64,
-    /// Solution-cache lookup misses inside the window (0 without a cache).
-    pub cache_lookup_misses: u64,
-    /// Whether both window edges carried cache statistics.
-    pub has_cache: bool,
-    /// Windowed queue-wait latency.
-    pub queue_wait: LatencyWindow,
-    /// Windowed solve latency.
-    pub solve: LatencyWindow,
-    /// Windowed end-to-end latency.
-    pub end_to_end: LatencyWindow,
-    /// Windowed quality ratios.
-    pub quality: QualityWindow,
-    /// Per-backend windowed lanes, indexed like `SolverBackend::ALL`.
-    pub per_backend: [BackendWindow; BACKENDS],
+service_counters!(counter_fields! {
+    /// Full windowed view of one service (or the fleet aggregate): every scalar
+    /// counter's delta inside the window plus the windowed histograms, over
+    /// `span` of wall time.
+    #[derive(Debug, Clone, Copy, PartialEq, Default)]
+    pub struct ServiceWindow {
+        /// Wall-clock span between the window's edges.
+        pub span: Duration,
+        /// Solution-cache lookup hits inside the window (0 without a cache).
+        pub cache_lookup_hits: u64,
+        /// Solution-cache lookup misses inside the window (0 without a cache).
+        pub cache_lookup_misses: u64,
+        /// Whether both window edges carried cache statistics.
+        pub has_cache: bool,
+        /// Windowed queue-wait latency.
+        pub queue_wait: LatencyWindow,
+        /// Windowed solve latency.
+        pub solve: LatencyWindow,
+        /// Windowed end-to-end latency.
+        pub end_to_end: LatencyWindow,
+        /// Windowed quality ratios.
+        pub quality: QualityWindow,
+        /// Per-backend windowed lanes, indexed like `SolverBackend::ALL`.
+        pub per_backend: [BackendWindow; BACKENDS],
+    }
+});
+
+/// [`service_counters!`] callback: the scalar deltas of
+/// [`ServiceWindow::set_between`].
+macro_rules! scalar_deltas {
+    (
+        {}
+        $($field:ident: $family:literal, $help:literal;)*
+        ; $($internal:tt)*
+    ) => {
+        impl ServiceWindow {
+            fn set_scalars_between(&mut self, older: &ServiceCounters, newer: &ServiceCounters) {
+                $(self.$field = newer.$field.saturating_sub(older.$field);)*
+            }
+        }
+    };
 }
+
+service_counters!(scalar_deltas! {});
 
 impl ServiceWindow {
     /// Fills `self` with the deltas `newer − older` over `span`, saturating,
@@ -268,17 +270,7 @@ impl ServiceWindow {
         span: Duration,
     ) {
         self.span = span;
-        self.submitted = newer.submitted.saturating_sub(older.submitted);
-        self.completed = newer.completed.saturating_sub(older.completed);
-        self.failed = newer.failed.saturating_sub(older.failed);
-        self.shed = newer.shed.saturating_sub(older.shed);
-        self.rejected = newer.rejected.saturating_sub(older.rejected);
-        self.degraded = newer.degraded.saturating_sub(older.degraded);
-        self.deadline_misses = newer.deadline_misses.saturating_sub(older.deadline_misses);
-        self.cache_hits = newer.cache_hits.saturating_sub(older.cache_hits);
-        self.coalesced = newer.coalesced.saturating_sub(older.coalesced);
-        self.worker_panics = newer.worker_panics.saturating_sub(older.worker_panics);
-        self.explored = newer.explored.saturating_sub(older.explored);
+        self.set_scalars_between(older, newer);
         match (&older.cache, &newer.cache) {
             (Some(old), Some(new)) => {
                 self.has_cache = true;

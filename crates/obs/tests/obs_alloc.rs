@@ -10,57 +10,18 @@
 //! is what makes an always-on scraper safe at high cadence; this test is its
 //! proof, in the style of `trace/tests/trace_alloc.rs`.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use taxi::SolverBackend;
+use taxi_alloc_count::{allocations, CountingAllocator};
 use taxi_dispatch::ServiceMetrics;
 use taxi_obs::{
     FleetSample, HistoryStore, SampleSource, ServiceWindow, ShardWindow, SloEngine, SloSpec,
 };
 
-struct CountingAllocator;
-
-// Per-thread counter (const-init `Cell<u64>` has no destructor and never
-// allocates itself), so a concurrent libtest harness thread cannot pollute
-// the measured region.
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count_one() {
-    ALLOCATIONS.with(|c| c.set(c.get() + 1));
-}
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.with(Cell::get)
-}
 
 const SHARDS: usize = 4;
 

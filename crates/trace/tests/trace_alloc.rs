@@ -10,52 +10,13 @@
 //! production; this test is its proof, in the style of
 //! `dispatch/tests/dispatch_alloc.rs`.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::time::{Duration, Instant};
 
+use taxi_alloc_count::{allocations, CountingAllocator};
 use taxi_trace::{AttrKey, RequestFacts, SpanName, TraceConfig, Tracer};
-
-struct CountingAllocator;
-
-// Per-thread counter (const-init `Cell<u64>` has no destructor and never
-// allocates itself), so a concurrent libtest harness thread cannot pollute the
-// measured region.
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count_one() {
-    ALLOCATIONS.with(|c| c.set(c.get() + 1));
-}
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.with(Cell::get)
-}
 
 /// One request's worth of recording: admission span, route span, solve span
 /// with stage children, then the tail-sampled finish.

@@ -20,9 +20,7 @@
 //!
 //! Both fingerprints hash raw `f64` bit patterns, so they distinguish geometries that
 //! differ by even one ULP (the safe direction for a cache that promises bit-identical
-//! answers). For *near*-duplicate detection, [`quantized_fingerprint`] snaps
-//! coordinates to a caller-chosen grid first — useful for similarity analytics, but
-//! never used as a serving-cache key precisely because it would break bit-identity.
+//! answers).
 //!
 //! The hash is a fixed-key 128-bit mixing function (two independent 64-bit
 //! SplitMix-style lanes), stable across processes and platforms. It is not
@@ -246,36 +244,6 @@ pub fn canonical_fingerprint_into(
     mixer.finish()
 }
 
-/// Permutation-invariant fingerprint with coordinates snapped to a `quantum`-spaced
-/// grid before hashing: instances whose cities agree within the grid tolerance share
-/// a fingerprint. For near-duplicate *detection only* — a serving cache must never
-/// key bit-identical answers by a lossy fingerprint.
-///
-/// # Panics
-///
-/// Panics if `quantum` is not strictly positive and finite.
-pub fn quantized_fingerprint(instance: &TspInstance, quantum: f64) -> Fingerprint {
-    assert!(
-        quantum.is_finite() && quantum > 0.0,
-        "quantum must be positive and finite"
-    );
-    let Some(coords) = instance.coordinates() else {
-        return exact_fingerprint(instance);
-    };
-    let snap = |v: f64| (v / quantum).round() as i64 as u64;
-    let mut cells: Vec<(u64, u64)> = coords.iter().map(|&(x, y)| (snap(x), snap(y))).collect();
-    cells.sort_unstable();
-    let mut mixer = Mixer::new();
-    mixer.write(kind_tag(instance.edge_weight_kind()));
-    mixer.write(instance.dimension() as u64);
-    mixer.write(quantum.to_bits());
-    for (cx, cy) in cells {
-        mixer.write(cx);
-        mixer.write(cy);
-    }
-    mixer.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -368,28 +336,6 @@ mod tests {
             assert_eq!(via_scratch, direct);
             assert_eq!(scratch.permutation(), &perm[..]);
         }
-    }
-
-    #[test]
-    fn quantized_fingerprint_merges_near_duplicates() {
-        let a = square("a", vec![(0.0, 0.0), (10.0, 0.0), (5.0, 8.0)]);
-        let nudged = square("a", vec![(0.004, 0.0), (10.0, 0.003), (5.0, 8.0)]);
-        let far = square("a", vec![(0.0, 0.0), (10.0, 0.0), (5.0, 9.0)]);
-        assert_ne!(exact_fingerprint(&a), exact_fingerprint(&nudged));
-        assert_eq!(
-            quantized_fingerprint(&a, 0.01),
-            quantized_fingerprint(&nudged, 0.01)
-        );
-        assert_ne!(
-            quantized_fingerprint(&a, 0.01),
-            quantized_fingerprint(&far, 0.01)
-        );
-        // Quantisation is permutation-invariant too.
-        let shuffled = square("a", vec![(5.0, 8.0), (0.004, 0.0), (10.0, 0.003)]);
-        assert_eq!(
-            quantized_fingerprint(&a, 0.01),
-            quantized_fingerprint(&shuffled, 0.01)
-        );
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Allocation-counting proof of the zero-realloc solve path.
 //!
-//! A counting global allocator wraps the system allocator for this test binary only.
+//! The shared per-thread counting allocator (`taxi-alloc-count`) wraps the system
+//! allocator for this test binary, so sibling tests running in parallel do not count.
 //! The tests drive the exact operations of the pipeline's per-level sub-problem solve
 //! loop — member extraction, in-place distance-matrix fill, and the buffer-reusing
 //! [`TourSolver::solve_cycle_into`] / [`TourSolver::solve_path_into`] backend calls —
@@ -11,48 +12,15 @@
 //! strictly less than a cold one, and batched solves stay bit-identical to individual
 //! solves across all four backends.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use taxi::{SolveContext, SolverBackend, SolverScratch, TaxiConfig, TaxiSolver};
+use taxi_alloc_count::{allocations, CountingAllocator};
 use taxi_cluster::{EndpointFixer, Hierarchy, Point};
 use taxi_dist::DistanceMatrix;
 use taxi_tsplib::generator::clustered_instance;
 use taxi_tsplib::TspInstance;
 
-/// Counts every allocation (alloc, alloc_zeroed, realloc) passed to the system
-/// allocator.
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
 
 /// Drives one full pass of the level-solve loop (the body of the pipeline's
 /// `SolveLevels` stage for level 0) through the public buffer-reusing API, returning
