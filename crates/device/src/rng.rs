@@ -56,6 +56,16 @@ impl StochasticBitSource {
         Ok(switched)
     }
 
+    /// Draws one bit at a switching probability `p` the caller has already derived from
+    /// an in-window current: the reset write, the stochastic pulse and the single RNG
+    /// draw of [`sample`](Self::sample), without re-evaluating the switching curve.
+    pub(crate) fn sample_with_probability<R: Rng + ?Sized>(&mut self, p: f64, rng: &mut R) -> bool {
+        self.device.write_deterministic(MagState::AntiParallel);
+        let switched = self.device.flip_with_probability(p, rng);
+        self.samples_drawn += 1;
+        switched
+    }
+
     /// Number of bits drawn so far.
     pub fn samples_drawn(&self) -> u64 {
         self.samples_drawn
@@ -150,10 +160,17 @@ impl StochasticVectorGenerator {
         rng: &mut R,
         mask: &mut Vec<bool>,
     ) -> Result<(), DeviceError> {
+        // Every unit is pulsed at the same current, so the window check and the
+        // switching curve are evaluated once per mask; an out-of-window current fails
+        // here, before any unit is written or the RNG is drawn.
+        self.params.require_stochastic(current)?;
+        let p = self.params.switching_probability(current);
         mask.clear();
-        for unit in &mut self.units {
-            mask.push(unit.sample(current, rng)?);
-        }
+        mask.extend(
+            self.units
+                .iter_mut()
+                .map(|unit| unit.sample_with_probability(p, rng)),
+        );
         self.pulses_issued += 1;
         if mask.iter().all(|&b| !b) {
             mask.iter_mut().for_each(|b| *b = true);
@@ -270,6 +287,64 @@ mod tests {
         assert_eq!(gen.pulses_issued(), 3);
         assert!(gen.energy_per_mask() > 0.0);
         assert!(gen.latency_per_mask() > 0.0);
+    }
+
+    /// The per-mask switching probability draws exactly the bits that sampling each
+    /// unit at the same current draws, from the same RNG stream.
+    #[test]
+    fn mask_matches_per_unit_sampling() {
+        let params = DeviceParams::default();
+        let mut gen = StochasticVectorGenerator::new(params.clone(), 7).unwrap();
+        let mut sources: Vec<_> = (0..7)
+            .map(|_| StochasticBitSource::new(params.clone()))
+            .collect();
+        let mut rng_gen = ChaCha8Rng::seed_from_u64(31);
+        let mut rng_src = rng_gen.clone();
+        for ua in [305.0, 360.0, 420.0, 500.0, 640.0] {
+            let current = WriteCurrent::from_micro_amps(ua);
+            let mut bits: Vec<bool> = sources
+                .iter_mut()
+                .map(|s| s.sample(current, &mut rng_src).unwrap())
+                .collect();
+            if bits.iter().all(|&b| !b) {
+                bits.fill(true);
+            }
+            assert_eq!(gen.generate(current, &mut rng_gen).unwrap(), bits);
+        }
+        assert_eq!(rng_gen, rng_src);
+        for (unit, source) in gen.units.iter().zip(&sources) {
+            assert_eq!(unit.samples_drawn(), source.samples_drawn());
+            assert_eq!(unit.device(), source.device());
+        }
+    }
+
+    #[test]
+    fn out_of_window_mask_fails_before_touching_any_unit() {
+        let mut gen = StochasticVectorGenerator::new(DeviceParams::default(), 6).unwrap();
+        let mut rng = ChaCha8Rng::seed_from_u64(8);
+        gen.generate(WriteCurrent::from_micro_amps(400.0), &mut rng)
+            .unwrap();
+        let counters = |gen: &StochasticVectorGenerator| -> Vec<(u64, u64)> {
+            gen.units
+                .iter()
+                .map(|u| (u.samples_drawn(), u.device().write_count()))
+                .collect()
+        };
+        let units_before = counters(&gen);
+        let rng_before = rng.clone();
+        let mut mask = vec![true; 3];
+        for ua in [700.0, 100.0] {
+            let err = gen
+                .generate_into(WriteCurrent::from_micro_amps(ua), &mut rng, &mut mask)
+                .unwrap_err();
+            assert!(matches!(
+                err,
+                DeviceError::CurrentOutsideStochasticWindow { .. }
+            ));
+        }
+        assert_eq!(gen.pulses_issued(), 1);
+        assert_eq!(counters(&gen), units_before);
+        assert_eq!(rng, rng_before);
     }
 
     #[test]

@@ -155,12 +155,19 @@ impl SotMram {
     ) -> Result<bool, DeviceError> {
         self.params.require_stochastic(current)?;
         let p = self.params.switching_probability(current);
+        Ok(self.flip_with_probability(p, rng))
+    }
+
+    /// One stochastic write pulse whose switching probability `p` the caller has already
+    /// derived from an in-window current: counts the pulse, draws once from `rng`, and
+    /// flips the state when the draw says the device switched.
+    pub(crate) fn flip_with_probability<R: Rng + ?Sized>(&mut self, p: f64, rng: &mut R) -> bool {
         self.write_count += 1;
         let switched = rng.gen_bool(p.clamp(0.0, 1.0));
         if switched {
             self.state = self.state.flipped();
         }
-        Ok(switched)
+        switched
     }
 
     /// Energy dissipated by a single write pulse, in joules.

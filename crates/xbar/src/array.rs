@@ -331,6 +331,10 @@ impl CrossbarArray {
     /// Resets every cell of the spin-storage column for `order` to the high-resistance
     /// state (the pre-update reset described in Section III-C5).
     ///
+    /// The hardware pulses the whole column, so the reset counts one write per row;
+    /// only cells that actually leave the low-resistance state need their cached
+    /// conductance refreshed.
+    ///
     /// # Errors
     ///
     /// Returns [`XbarError::IndexOutOfRange`] if `order` is out of range.
@@ -339,10 +343,12 @@ impl CrossbarArray {
         let col = self.geometry.spin_storage_start() + order;
         for city in 0..self.geometry.rows {
             let idx = self.cell_index(city, col);
-            self.cells[idx] = MagState::AntiParallel;
-            self.refresh_conductance(city, col);
-            self.write_ops += 1;
+            if self.cells[idx] != MagState::AntiParallel {
+                self.cells[idx] = MagState::AntiParallel;
+                self.refresh_conductance(city, col);
+            }
         }
+        self.write_ops += self.geometry.rows as u64;
         Ok(())
     }
 

@@ -147,10 +147,16 @@ pub struct IsingMacro {
     counts: MacroOpCounts,
     /// The quantised weights currently programmed, kept for in-place remapping.
     weights: QuantizedDistances,
-    /// Reusable per-step buffers (assignment readout, row currents, latched binary
-    /// vector input, per-city MAC currents, gated currents): one optimisation step
-    /// performs no heap allocation.
-    assignment_buf: Vec<usize>,
+    /// The visiting order the spin storage holds (`order → city`), empty until
+    /// [`initialize_order`](Self::initialize_order), and its inverse (`city → order`).
+    /// The macro is the only writer of the spin storage, so it keeps both maps up to
+    /// date with its own writes and never has to scan the storage to recover them.
+    city_of_order: Vec<usize>,
+    order_of_city: Vec<usize>,
+    /// Reusable per-step buffers (debug-build spin-storage scan, row currents, latched
+    /// binary vector input, per-city MAC currents, gated currents): one optimisation
+    /// step performs no heap allocation.
+    scan_buf: Vec<usize>,
     row_buf: Vec<f64>,
     binary_buf: Vec<bool>,
     city_buf: Vec<f64>,
@@ -193,7 +199,9 @@ impl IsingMacro {
             argmax,
             counts: MacroOpCounts::default(),
             weights,
-            assignment_buf: Vec::with_capacity(n),
+            city_of_order: Vec::with_capacity(n),
+            order_of_city: vec![0; n],
+            scan_buf: Vec::with_capacity(n),
             row_buf: vec![0.0; n],
             binary_buf: vec![false; n],
             city_buf: vec![0.0; n],
@@ -258,17 +266,49 @@ impl IsingMacro {
     ///
     /// Returns an error if `assignment` is not a permutation of the macro's cities.
     pub fn initialize_order(&mut self, assignment: &[usize]) -> Result<(), XbarError> {
-        self.array.write_assignment(assignment)
+        self.array.write_assignment(assignment)?;
+        self.city_of_order.clear();
+        self.city_of_order.extend_from_slice(assignment);
+        for (order, &city) in assignment.iter().enumerate() {
+            self.order_of_city[city] = order;
+        }
+        debug_assert!(self.tracked_order_matches_scan());
+        Ok(())
+    }
+
+    /// The visiting order held in the spin storage.
+    ///
+    /// Before the first [`initialize_order`](Self::initialize_order) the storage is
+    /// blank, and this reports what a scan of a blank storage reports.
+    fn tracked_order(&self) -> Result<&[usize], XbarError> {
+        if self.city_of_order.is_empty() {
+            return Err(XbarError::CorruptSpinStorage {
+                reason: "order 0 has no city selected".to_string(),
+            });
+        }
+        Ok(&self.city_of_order)
+    }
+
+    /// Cross-checks the tracked visiting order and its inverse against a full scan of
+    /// the spin storage (debug builds and tests only).
+    fn tracked_order_matches_scan(&mut self) -> bool {
+        self.array.read_assignment_into(&mut self.scan_buf).is_ok()
+            && self.scan_buf == self.city_of_order
+            && self
+                .city_of_order
+                .iter()
+                .enumerate()
+                .all(|(order, &city)| self.order_of_city[city] == order)
     }
 
     /// Reads the current visiting order (`result[order] = city`) out of the spin storage.
     ///
     /// # Errors
     ///
-    /// Returns [`XbarError::CorruptSpinStorage`] if the spin storage does not encode a
-    /// valid permutation.
+    /// Returns [`XbarError::CorruptSpinStorage`] if no visiting order has been written
+    /// yet.
     pub fn read_solution(&self) -> Result<Vec<usize>, XbarError> {
-        self.array.read_assignment()
+        Ok(self.tracked_order()?.to_vec())
     }
 
     /// Like [`read_solution`](Self::read_solution), but writes into a caller-provided
@@ -278,14 +318,17 @@ impl IsingMacro {
     ///
     /// Same error conditions as [`read_solution`](Self::read_solution).
     pub fn read_solution_into(&self, out: &mut Vec<usize>) -> Result<(), XbarError> {
-        self.array.read_assignment_into(out)
+        out.clear();
+        out.extend_from_slice(self.tracked_order()?);
+        Ok(())
     }
 
     /// City currently assigned to `order`.
     ///
     /// # Errors
     ///
-    /// Returns an error if the spin storage is corrupt or `order` is out of range.
+    /// Returns an error if `order` is out of range or no visiting order has been
+    /// written yet.
     pub fn city_at_order(&self, order: usize) -> Result<usize, XbarError> {
         if order >= self.num_cities() {
             return Err(XbarError::IndexOutOfRange {
@@ -294,7 +337,7 @@ impl IsingMacro {
                 len: self.num_cities(),
             });
         }
-        Ok(self.read_solution()?[order])
+        Ok(self.tracked_order()?[order])
     }
 
     /// Executes one full optimisation step for visiting position `order` at write current
@@ -315,7 +358,7 @@ impl IsingMacro {
     /// # Errors
     ///
     /// Returns an error if `order` is out of range, the write current is outside the
-    /// stochastic window, or the spin storage is corrupt.
+    /// stochastic window, or no visiting order has been written yet.
     pub fn optimize_order<R: Rng + ?Sized>(
         &mut self,
         order: usize,
@@ -348,7 +391,8 @@ impl IsingMacro {
                 len: n,
             });
         }
-        self.array.read_assignment_into(&mut self.assignment_buf)?;
+        // Fails before any phase runs when no visiting order has been written yet.
+        self.tracked_order()?;
         let prev_order = (order + n - 1) % n;
         let next_order = (order + 1) % n;
 
@@ -367,9 +411,9 @@ impl IsingMacro {
 
         // A city cannot be its own neighbour: suppress the cities already occupying the
         // neighbouring orders so the winner is a genuine intermediate stop.
-        self.city_buf[self.assignment_buf[prev_order]] = 0.0;
+        self.city_buf[self.city_of_order[prev_order]] = 0.0;
         if next_order != prev_order {
-            self.city_buf[self.assignment_buf[next_order]] = 0.0;
+            self.city_buf[self.city_of_order[next_order]] = 0.0;
         }
         // Suppress explicitly forbidden cities (e.g. fixed sub-problem endpoints).
         for &city in forbidden_cities {
@@ -390,23 +434,22 @@ impl IsingMacro {
             Some(city) => city,
             None => match self.argmax.winner(&self.city_buf, rng) {
                 Some(city) => city,
-                None => self.assignment_buf[order],
+                None => self.city_of_order[order],
             },
         };
 
         // Phase 5: spin-storage update with permutation-preserving swap.
-        let incumbent = self.assignment_buf[order];
+        let incumbent = self.city_of_order[order];
         if winner != incumbent {
-            let winner_old_order = self
-                .assignment_buf
-                .iter()
-                .position(|&c| c == winner)
-                .expect("winner must currently occupy some order");
+            let winner_old_order = self.order_of_city[winner];
             self.array.reset_order_column(order)?;
             self.array.write_spin(winner, order, true)?;
             self.array.reset_order_column(winner_old_order)?;
             self.array.write_spin(incumbent, winner_old_order, true)?;
+            self.city_of_order.swap(order, winner_old_order);
+            self.order_of_city.swap(winner, incumbent);
         }
+        debug_assert!(self.tracked_order_matches_scan());
         self.counts.update_ops += 1;
         self.counts.order_steps += 1;
         Ok(winner)
@@ -421,6 +464,7 @@ impl IsingMacro {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -557,6 +601,14 @@ mod tests {
         assert!(m
             .optimize_order(9, WriteCurrent::from_micro_amps(420.0), &mut rng)
             .is_err());
+        assert_eq!(
+            m.city_at_order(4).unwrap_err(),
+            XbarError::IndexOutOfRange {
+                kind: "order",
+                index: 4,
+                len: 4
+            }
+        );
     }
 
     /// A remapped macro must behave bit-identically to a freshly constructed one: the
@@ -623,6 +675,59 @@ mod tests {
         m.initialize_order(&[0, 1, 2, 3]).unwrap();
         m.read_solution_into(&mut out).unwrap();
         assert_eq!(out, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn blank_spin_storage_is_reported_as_before() {
+        let d = line_distances();
+        let mut m = IsingMacro::new(&d, MacroConfig::new(4)).unwrap();
+        let scanned = m.array().read_assignment().unwrap_err();
+        assert_eq!(m.read_solution().unwrap_err(), scanned);
+        assert_eq!(m.city_at_order(0).unwrap_err(), scanned);
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        assert_eq!(
+            m.optimize_order(0, WriteCurrent::from_micro_amps(400.0), &mut rng)
+                .unwrap_err(),
+            scanned
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The tracked visiting order equals a full scan of the spin storage after every
+        /// step, and the tracked inverse maps every city back to its order.
+        #[test]
+        fn tracked_order_matches_spin_storage_scan(
+            case in (4usize..=12).prop_flat_map(|n| (
+                prop::collection::vec((0.0f64..100.0, 0.0f64..100.0), n),
+                Just((0..n).collect::<Vec<usize>>()).prop_shuffle(),
+            )),
+            seed in 0u64..1_000,
+            currents in prop::collection::vec(300.0f64..650.0, 1..40),
+            forbidden in prop::collection::vec(0usize..12, 0..3),
+        ) {
+            let (points, start) = case;
+            let n = points.len();
+            let d = DistanceMatrix::from_fn(n, |i, j| {
+                (points[i].0 - points[j].0).hypot(points[i].1 - points[j].1)
+            });
+            let forbidden: Vec<usize> = forbidden.iter().map(|&c| c % n).collect();
+            let mut m = IsingMacro::new(&d, MacroConfig::new(4)).unwrap();
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            m.initialize_order(&start).unwrap();
+            for (t, &ua) in currents.iter().enumerate() {
+                let current = WriteCurrent::from_micro_amps(ua);
+                m.optimize_order_constrained(t % n, current, &forbidden, &mut rng)
+                    .unwrap();
+                let scanned = m.array().read_assignment().unwrap();
+                prop_assert_eq!(m.read_solution().unwrap(), scanned.clone());
+                for (order, &city) in scanned.iter().enumerate() {
+                    prop_assert_eq!(m.order_of_city[city], order);
+                    prop_assert_eq!(m.city_at_order(order).unwrap(), city);
+                }
+            }
+        }
     }
 
     #[test]
