@@ -18,9 +18,9 @@ use taxi_dist::{DistanceMatrix, NeighborLists, LANES};
 /// Reusable scratch buffers for the construction heuristics and local searches.
 ///
 /// One scratch per worker turns the whole heuristic stack (`nearest_neighbor_*`,
-/// `greedy_edge_tour`, Or-opt relocation) into zero-allocation operations once the
+/// `greedy_edge_tour_into`, Or-opt relocation) into zero-allocation operations once the
 /// buffers have grown to the largest sub-problem seen; the `*_into` / `*_with` variants
-/// below consume it. Results are identical to the allocating entry points.
+/// below consume it. A warm scratch gives the same results as a fresh one.
 #[derive(Debug, Clone, Default)]
 pub struct HeuristicScratch {
     visited: Vec<bool>,
@@ -157,19 +157,9 @@ pub fn nearest_neighbor_tour_into(
 }
 
 /// Greedy-edge construction: repeatedly adds the shortest edge that keeps the partial
-/// solution a set of simple paths, then closes the cycle.
-///
-/// # Panics
-///
-/// Panics if the matrix is empty.
-pub fn greedy_edge_tour(distances: &DistanceMatrix) -> Vec<usize> {
-    let mut order = Vec::with_capacity(distances.n());
-    greedy_edge_tour_into(distances, &mut HeuristicScratch::new(), &mut order);
-    order
-}
-
-/// Buffer-reusing form of [`greedy_edge_tour`]: the edge list, union-find and adjacency
-/// tables come from `scratch`, and the tour is written into `out` (cleared first).
+/// solution a set of simple paths, then closes the cycle. The edge list, union-find and
+/// adjacency tables come from `scratch`, and the tour is written into `out` (cleared
+/// first).
 ///
 /// # Panics
 ///
@@ -332,13 +322,8 @@ pub fn two_opt(distances: &DistanceMatrix, order: &mut [usize], max_passes: usiz
 
 /// Or-opt local search: relocates segments of 1–3 consecutive cities while that shortens
 /// the tour, up to `max_passes` passes. Returns the number of improving moves applied.
-pub fn or_opt(distances: &DistanceMatrix, order: &mut Vec<usize>, max_passes: usize) -> usize {
-    or_opt_with(distances, order, max_passes, &mut HeuristicScratch::new())
-}
-
-/// Buffer-reusing form of [`or_opt`]: the segment/trial/candidate relocation buffers come
-/// from `scratch`, so steady-state local search allocates nothing. Results are identical
-/// to [`or_opt`].
+/// The segment/trial/candidate relocation buffers come from `scratch`, so steady-state
+/// local search allocates nothing.
 pub fn or_opt_with(
     distances: &DistanceMatrix,
     order: &mut Vec<usize>,
@@ -427,30 +412,13 @@ fn relocate_segment(
     best_pos
 }
 
-/// Nearest-neighbour open-path construction from `start`, forced to terminate at `end`.
+/// Nearest-neighbour open-path construction from `start`, forced to terminate at `end`;
+/// writes the order into `out` (cleared first).
 ///
 /// # Panics
 ///
 /// Panics if the matrix is empty, either endpoint is out of range, or `start == end` on
 /// a multi-city matrix (a Hamiltonian path cannot start and end at the same city).
-pub fn nearest_neighbor_path(distances: &DistanceMatrix, start: usize, end: usize) -> Vec<usize> {
-    let mut order = Vec::with_capacity(distances.n());
-    nearest_neighbor_path_into(
-        distances,
-        start,
-        end,
-        &mut HeuristicScratch::new(),
-        &mut order,
-    );
-    order
-}
-
-/// Buffer-reusing form of [`nearest_neighbor_path`]: writes the order into `out`
-/// (cleared first).
-///
-/// # Panics
-///
-/// Same panic conditions as [`nearest_neighbor_path`].
 pub fn nearest_neighbor_path_into(
     distances: &DistanceMatrix,
     start: usize,
@@ -522,13 +490,8 @@ pub fn two_opt_path(distances: &DistanceMatrix, order: &mut [usize], max_passes:
 
 /// Or-opt local search on an open path: relocates interior segments of 1–3 consecutive
 /// cities while that shortens the path, keeping the endpoints pinned. Returns the number
-/// of improving moves applied.
-pub fn or_opt_path(distances: &DistanceMatrix, order: &mut Vec<usize>, max_passes: usize) -> usize {
-    or_opt_path_with(distances, order, max_passes, &mut HeuristicScratch::new())
-}
-
-/// Buffer-reusing form of [`or_opt_path`]; insertion positions keep the pinned endpoints
-/// in place. Results are identical to [`or_opt_path`].
+/// of improving moves applied. Relocation buffers come from `scratch`, as for
+/// [`or_opt_with`].
 pub fn or_opt_path_with(
     distances: &DistanceMatrix,
     order: &mut Vec<usize>,
@@ -762,31 +725,13 @@ fn or_opt_neighbors_impl(
 }
 
 /// Reference open path between fixed endpoints: nearest-neighbour construction followed
-/// by bounded path-preserving 2-opt and Or-opt.
-///
-/// # Panics
-///
-/// Panics if the matrix is empty, either endpoint is out of range, or `start == end` on
-/// a multi-city matrix (see [`nearest_neighbor_path`]).
-pub fn reference_path(distances: &DistanceMatrix, start: usize, end: usize) -> Vec<usize> {
-    let mut order = Vec::with_capacity(distances.n());
-    reference_path_into(
-        distances,
-        start,
-        end,
-        &mut HeuristicScratch::new(),
-        &mut order,
-    );
-    order
-}
-
-/// Buffer-reusing form of [`reference_path`]: writes the path into `out` (cleared
+/// by bounded path-preserving 2-opt and Or-opt. Writes the path into `out` (cleared
 /// first); once `scratch` and `out` are warm the whole construction + local search runs
 /// without heap allocation.
 ///
 /// # Panics
 ///
-/// Same panic conditions as [`reference_path`].
+/// Same panic conditions as [`nearest_neighbor_path_into`].
 pub fn reference_path_into(
     distances: &DistanceMatrix,
     start: usize,
@@ -900,7 +845,7 @@ pub fn two_opt_limited(
 ///
 /// # Panics
 ///
-/// Same panic conditions as [`reference_path`].
+/// Same panic conditions as [`nearest_neighbor_path_into`].
 pub fn reference_path_into_limited(
     distances: &DistanceMatrix,
     start: usize,
@@ -963,6 +908,18 @@ mod tests {
             })
     }
 
+    fn greedy_edge(d: &DistanceMatrix) -> Vec<usize> {
+        let mut out = Vec::new();
+        greedy_edge_tour_into(d, &mut HeuristicScratch::new(), &mut out);
+        out
+    }
+
+    fn reference_path(d: &DistanceMatrix, start: usize, end: usize) -> Vec<usize> {
+        let mut out = Vec::new();
+        reference_path_into(d, start, end, &mut HeuristicScratch::new(), &mut out);
+        out
+    }
+
     #[test]
     fn nearest_neighbor_returns_permutation() {
         let (d, _) = ring(15);
@@ -974,14 +931,14 @@ mod tests {
     #[test]
     fn greedy_edge_returns_permutation() {
         let (d, _) = ring(20);
-        let t = greedy_edge_tour(&d);
+        let t = greedy_edge(&d);
         assert!(is_permutation(&t, 20));
     }
 
     #[test]
     fn greedy_edge_is_optimal_on_a_ring() {
         let (d, opt) = ring(16);
-        let t = greedy_edge_tour(&d);
+        let t = greedy_edge(&d);
         assert!((tour_length(&d, &t) - opt).abs() < 1e-9);
     }
 
@@ -1008,7 +965,7 @@ mod tests {
         let (d, _) = ring(10);
         let mut order: Vec<usize> = (0..10).map(|i| (i * 3) % 10).collect();
         let before = tour_length(&d, &order);
-        or_opt(&d, &mut order, 3);
+        or_opt_with(&d, &mut order, 3, &mut HeuristicScratch::new());
         let after = tour_length(&d, &order);
         assert!(after <= before + 1e-9);
         assert!(is_permutation(&order, 10));
@@ -1061,7 +1018,9 @@ mod tests {
     #[test]
     fn path_variants_pin_endpoints_and_improve() {
         let d = line(9);
-        let mut order = nearest_neighbor_path(&d, 0, 8);
+        let mut scratch = HeuristicScratch::new();
+        let mut order = Vec::new();
+        nearest_neighbor_path_into(&d, 0, 8, &mut scratch, &mut order);
         assert_eq!(order[0], 0);
         assert_eq!(*order.last().unwrap(), 8);
         assert!(is_permutation(&order, 9));
@@ -1069,7 +1028,7 @@ mod tests {
         order = vec![0, 5, 2, 7, 1, 6, 3, 4, 8];
         let before = path_length(&d, &order);
         two_opt_path(&d, &mut order, 50);
-        or_opt_path(&d, &mut order, 3);
+        or_opt_path_with(&d, &mut order, 3, &mut scratch);
         let after = path_length(&d, &order);
         assert!(after < before);
         assert_eq!(order[0], 0);
@@ -1098,12 +1057,12 @@ mod tests {
     #[should_panic(expected = "start and end must differ")]
     fn path_construction_rejects_equal_endpoints_on_multi_city_matrices() {
         let d = line(5);
-        nearest_neighbor_path(&d, 2, 2);
+        nearest_neighbor_path_into(&d, 2, 2, &mut HeuristicScratch::new(), &mut Vec::new());
     }
 
-    /// The scratch-based variants must be behaviourally transparent: same tours as the
-    /// allocating entry points, including on tie-heavy symmetric instances where the
-    /// greedy-edge sort order matters.
+    /// A warm scratch must be behaviourally transparent: the same tours as a fresh one
+    /// (and as the allocating entry points that remain), including on tie-heavy
+    /// symmetric instances where the greedy-edge sort order matters.
     #[test]
     fn scratch_variants_match_allocating_entry_points() {
         let mut scratch = HeuristicScratch::new();
@@ -1111,7 +1070,7 @@ mod tests {
         for n in [6usize, 11, 16] {
             let (d, _) = ring(n);
             greedy_edge_tour_into(&d, &mut scratch, &mut out);
-            assert_eq!(out, greedy_edge_tour(&d), "greedy-edge n={n}");
+            assert_eq!(out, greedy_edge(&d), "greedy-edge n={n}");
             nearest_neighbor_tour_into(&d, 2 % n, &mut scratch, &mut out);
             assert_eq!(out, nearest_neighbor_tour(&d, 2 % n), "nn n={n}");
             reference_tour_into(&d, &mut scratch, &mut out);
@@ -1122,7 +1081,7 @@ mod tests {
         let d = line(9);
         let mut a = vec![0, 5, 2, 7, 1, 6, 3, 4, 8];
         let mut b = a.clone();
-        let moves_a = or_opt_path(&d, &mut a, 3);
+        let moves_a = or_opt_path_with(&d, &mut a, 3, &mut HeuristicScratch::new());
         let moves_b = or_opt_path_with(&d, &mut b, 3, &mut scratch);
         assert_eq!(a, b);
         assert_eq!(moves_a, moves_b);

@@ -51,11 +51,11 @@ pub use exact::{
     ExactSolverProjection, HeldKarpScratch,
 };
 pub use heuristics::{
-    greedy_edge_tour, greedy_edge_tour_into, nearest_neighbor_path, nearest_neighbor_path_into,
-    nearest_neighbor_tour, nearest_neighbor_tour_into, or_opt, or_opt_path, or_opt_path_with,
-    or_opt_with, path_length, reference_path, reference_path_into, reference_path_into_limited,
-    reference_tour, reference_tour_into, reference_tour_into_limited, tour_length, two_opt,
-    two_opt_limited, two_opt_neighbors, two_opt_path, two_opt_path_neighbors, HeuristicScratch,
+    greedy_edge_tour_into, nearest_neighbor_path_into, nearest_neighbor_tour,
+    nearest_neighbor_tour_into, or_opt_path_with, or_opt_with, path_length, reference_path_into,
+    reference_path_into_limited, reference_tour, reference_tour_into, reference_tour_into_limited,
+    tour_length, two_opt, two_opt_limited, two_opt_neighbors, two_opt_path, two_opt_path_neighbors,
+    HeuristicScratch,
 };
 pub use hvc::{HvcBaseline, HvcConfig};
 pub use neuro_ising::NeuroIsingModel;

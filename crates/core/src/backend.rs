@@ -24,16 +24,16 @@ use std::sync::Arc;
 
 use taxi_baselines::exact::HELD_KARP_LIMIT;
 use taxi_baselines::{
-    greedy_edge_tour_into, held_karp, held_karp_into, held_karp_path, held_karp_path_into,
-    path_length, reference_path_into_limited, reference_tour_into_limited, tour_length,
-    two_opt_limited, HeldKarpScratch, HeuristicScratch,
+    greedy_edge_tour_into, held_karp_into, held_karp_path_into, path_length,
+    reference_path_into_limited, reference_tour_into_limited, tour_length, two_opt_limited,
+    HeldKarpScratch, HeuristicScratch,
 };
 use taxi_dist::DistanceMatrix;
 use taxi_ising::{MacroScratch, MacroSolverConfig, MacroTspSolver};
 
 use crate::TaxiError;
 
-/// Reusable per-worker scratch consumed by the buffer-reusing solve entry points
+/// Reusable per-worker scratch consumed by every sub-problem solve
 /// ([`TourSolver::solve_cycle_into`] / [`TourSolver::solve_path_into`]).
 ///
 /// One scratch bundles the work areas of every built-in backend — the warm
@@ -70,80 +70,38 @@ impl SolverScratch {
     }
 }
 
-/// Solution of one sub-problem, in the sub-problem's local city indices.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SubTour {
-    /// Visiting order: `order[k]` is the local city index visited k-th.
-    pub order: Vec<usize>,
-    /// Length of the cycle (for [`TourSolver::solve_cycle`]) or open path (for
-    /// [`TourSolver::solve_path`]), in the units of the input matrix.
-    pub length: f64,
-}
-
 /// A sub-problem TSP solver: the unit the hierarchical pipeline composes.
 ///
+/// A solve writes the visiting order (local city indices) into `out`, cleared first, and
+/// returns its length, drawing work areas from a per-worker [`SolverScratch`].
 /// Implementations must be deterministic in `(distances, seed)` — the pipeline relies on
-/// that for reproducible end-to-end solves and for `solve` / `solve_batch` equivalence.
-/// They must also be `Send + Sync`: the pipeline invokes one shared instance from many
-/// worker threads at once.
+/// that for reproducible end-to-end solves and for `solve` / `solve_batch` equivalence —
+/// and a warm scratch must give what a fresh one gives. They must also be `Send + Sync`:
+/// the pipeline invokes one shared instance from many worker threads at once.
 pub trait TourSolver: Send + Sync {
     /// Short stable identifier used in reports and benchmarks (e.g. `"ising-macro"`).
     fn name(&self) -> &str;
 
-    /// Solves a closed (cyclic) TSP over `distances`.
+    /// Solves a closed (cyclic) TSP over `distances` and returns the cycle length.
     ///
     /// # Errors
     ///
     /// Returns an error for an empty matrix or any backend-specific failure.
-    fn solve_cycle(&self, distances: &DistanceMatrix, seed: u64) -> Result<SubTour, TaxiError>;
-
-    /// Solves an open-path TSP whose first city is `start` and last city is `end`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for a malformed matrix, out-of-range endpoints, or
-    /// `start == end` on a multi-city instance.
-    fn solve_path(
-        &self,
-        distances: &DistanceMatrix,
-        start: usize,
-        end: usize,
-        seed: u64,
-    ) -> Result<SubTour, TaxiError>;
-
-    /// Buffer-reusing form of [`solve_cycle`](Self::solve_cycle): writes the visiting
-    /// order into `out` (cleared first) and returns the cycle length, drawing work
-    /// areas from `scratch`.
-    ///
-    /// The default implementation delegates to [`solve_cycle`](Self::solve_cycle) (and
-    /// therefore still allocates); the built-in backends override it with
-    /// zero-allocation implementations. Overrides must return exactly the same order
-    /// and length as [`solve_cycle`](Self::solve_cycle) for the same `(distances,
-    /// seed)` — the pipeline mixes both entry points and relies on their equivalence.
-    ///
-    /// # Errors
-    ///
-    /// Same error conditions as [`solve_cycle`](Self::solve_cycle).
     fn solve_cycle_into(
         &self,
         distances: &DistanceMatrix,
         seed: u64,
         scratch: &mut SolverScratch,
         out: &mut Vec<usize>,
-    ) -> Result<f64, TaxiError> {
-        let _ = scratch;
-        let sub = self.solve_cycle(distances, seed)?;
-        out.clear();
-        out.extend_from_slice(&sub.order);
-        Ok(sub.length)
-    }
+    ) -> Result<f64, TaxiError>;
 
-    /// Buffer-reusing form of [`solve_path`](Self::solve_path); same contract as
-    /// [`solve_cycle_into`](Self::solve_cycle_into).
+    /// Solves an open-path TSP whose first city is `start` and last city is `end`, and
+    /// returns the path length.
     ///
     /// # Errors
     ///
-    /// Same error conditions as [`solve_path`](Self::solve_path).
+    /// Returns an error for a malformed matrix, out-of-range endpoints, or
+    /// `start == end` on a multi-city instance.
     fn solve_path_into(
         &self,
         distances: &DistanceMatrix,
@@ -152,13 +110,7 @@ pub trait TourSolver: Send + Sync {
         seed: u64,
         scratch: &mut SolverScratch,
         out: &mut Vec<usize>,
-    ) -> Result<f64, TaxiError> {
-        let _ = scratch;
-        let sub = self.solve_path(distances, start, end, seed)?;
-        out.clear();
-        out.extend_from_slice(&sub.order);
-        Ok(sub.length)
-    }
+    ) -> Result<f64, TaxiError>;
 }
 
 /// The built-in backend selection, carried by [`TaxiConfig`](crate::TaxiConfig).
@@ -288,28 +240,6 @@ impl TourSolver for IsingMacroBackend {
         "ising-macro"
     }
 
-    fn solve_cycle(&self, distances: &DistanceMatrix, seed: u64) -> Result<SubTour, TaxiError> {
-        let solution = self.solver.solve_cycle(distances, seed)?;
-        Ok(SubTour {
-            order: solution.order,
-            length: solution.length,
-        })
-    }
-
-    fn solve_path(
-        &self,
-        distances: &DistanceMatrix,
-        start: usize,
-        end: usize,
-        seed: u64,
-    ) -> Result<SubTour, TaxiError> {
-        let solution = self.solver.solve_path(distances, start, end, seed)?;
-        Ok(SubTour {
-            order: solution.order,
-            length: solution.length,
-        })
-    }
-
     fn solve_cycle_into(
         &self,
         distances: &DistanceMatrix,
@@ -370,38 +300,6 @@ impl NnTwoOptBackend {
 impl TourSolver for NnTwoOptBackend {
     fn name(&self) -> &str {
         "nn-2opt"
-    }
-
-    fn solve_cycle(&self, distances: &DistanceMatrix, _seed: u64) -> Result<SubTour, TaxiError> {
-        validate_matrix("nn-2opt", distances)?;
-        let mut scratch = HeuristicScratch::new();
-        let mut order = Vec::new();
-        reference_tour_into_limited(distances, &mut scratch, &mut order, self.neighbor_limit);
-        let length = tour_length(distances, &order);
-        Ok(SubTour { order, length })
-    }
-
-    fn solve_path(
-        &self,
-        distances: &DistanceMatrix,
-        start: usize,
-        end: usize,
-        _seed: u64,
-    ) -> Result<SubTour, TaxiError> {
-        let n = validate_matrix("nn-2opt", distances)?;
-        validate_endpoints("nn-2opt", n, start, end)?;
-        let mut scratch = HeuristicScratch::new();
-        let mut order = Vec::new();
-        reference_path_into_limited(
-            distances,
-            start,
-            end,
-            &mut scratch,
-            &mut order,
-            self.neighbor_limit,
-        );
-        let length = path_length(distances, &order);
-        Ok(SubTour { order, length })
     }
 
     fn solve_cycle_into(
@@ -467,39 +365,6 @@ impl TourSolver for GreedyEdgeBackend {
         "greedy-edge"
     }
 
-    fn solve_cycle(&self, distances: &DistanceMatrix, _seed: u64) -> Result<SubTour, TaxiError> {
-        validate_matrix("greedy-edge", distances)?;
-        let mut scratch = HeuristicScratch::new();
-        let mut order = Vec::new();
-        greedy_edge_tour_into(distances, &mut scratch, &mut order);
-        two_opt_limited(distances, &mut order, 4, &mut scratch, self.neighbor_limit);
-        let length = tour_length(distances, &order);
-        Ok(SubTour { order, length })
-    }
-
-    fn solve_path(
-        &self,
-        distances: &DistanceMatrix,
-        start: usize,
-        end: usize,
-        _seed: u64,
-    ) -> Result<SubTour, TaxiError> {
-        let n = validate_matrix("greedy-edge", distances)?;
-        validate_endpoints("greedy-edge", n, start, end)?;
-        let mut scratch = HeuristicScratch::new();
-        let mut order = Vec::new();
-        reference_path_into_limited(
-            distances,
-            start,
-            end,
-            &mut scratch,
-            &mut order,
-            self.neighbor_limit,
-        );
-        let length = path_length(distances, &order);
-        Ok(SubTour { order, length })
-    }
-
     fn solve_cycle_into(
         &self,
         distances: &DistanceMatrix,
@@ -550,43 +415,6 @@ pub struct ExactBackend;
 impl TourSolver for ExactBackend {
     fn name(&self) -> &str {
         "exact-dp"
-    }
-
-    fn solve_cycle(&self, distances: &DistanceMatrix, seed: u64) -> Result<SubTour, TaxiError> {
-        let n = validate_matrix("exact-dp", distances)?;
-        if n > HELD_KARP_LIMIT {
-            return NnTwoOptBackend::default().solve_cycle(distances, seed);
-        }
-        let solution = held_karp(distances).map_err(|err| TaxiError::Backend {
-            backend: "exact-dp".to_string(),
-            reason: err.to_string(),
-        })?;
-        Ok(SubTour {
-            order: solution.order,
-            length: solution.length,
-        })
-    }
-
-    fn solve_path(
-        &self,
-        distances: &DistanceMatrix,
-        start: usize,
-        end: usize,
-        seed: u64,
-    ) -> Result<SubTour, TaxiError> {
-        let n = validate_matrix("exact-dp", distances)?;
-        validate_endpoints("exact-dp", n, start, end)?;
-        if n > HELD_KARP_LIMIT {
-            return NnTwoOptBackend::default().solve_path(distances, start, end, seed);
-        }
-        let solution = held_karp_path(distances, start, end).map_err(|err| TaxiError::Backend {
-            backend: "exact-dp".to_string(),
-            reason: err.to_string(),
-        })?;
-        Ok(SubTour {
-            order: solution.order,
-            length: solution.length,
-        })
     }
 
     fn solve_cycle_into(
@@ -658,6 +486,28 @@ mod tests {
         ]
     }
 
+    fn cycle(
+        backend: &dyn TourSolver,
+        d: &DistanceMatrix,
+        seed: u64,
+    ) -> Result<(Vec<usize>, f64), TaxiError> {
+        let mut order = Vec::new();
+        let length = backend.solve_cycle_into(d, seed, &mut SolverScratch::new(), &mut order)?;
+        Ok((order, length))
+    }
+
+    fn path(
+        backend: &dyn TourSolver,
+        d: &DistanceMatrix,
+        start: usize,
+        end: usize,
+    ) -> Result<(Vec<usize>, f64), TaxiError> {
+        let mut order = Vec::new();
+        let length =
+            backend.solve_path_into(d, start, end, 0, &mut SolverScratch::new(), &mut order)?;
+        Ok((order, length))
+    }
+
     fn is_permutation(order: &[usize], n: usize) -> bool {
         let mut seen = vec![false; n];
         order.len() == n
@@ -675,31 +525,31 @@ mod tests {
     fn software_backends_return_valid_cycles_and_paths() {
         let (d, _) = circle(9);
         for backend in software_backends() {
-            let cycle = backend.solve_cycle(&d, 1).unwrap();
-            assert!(is_permutation(&cycle.order, 9), "{}", backend.name());
-            assert!((cycle.length - tour_length(&d, &cycle.order)).abs() < 1e-9);
-            let path = backend.solve_path(&d, 2, 6, 1).unwrap();
-            assert!(is_permutation(&path.order, 9), "{}", backend.name());
-            assert_eq!(path.order[0], 2);
-            assert_eq!(*path.order.last().unwrap(), 6);
+            let (order, length) = cycle(backend.as_ref(), &d, 1).unwrap();
+            assert!(is_permutation(&order, 9), "{}", backend.name());
+            assert!((length - tour_length(&d, &order)).abs() < 1e-9);
+            let (order, _) = path(backend.as_ref(), &d, 2, 6).unwrap();
+            assert!(is_permutation(&order, 9), "{}", backend.name());
+            assert_eq!(order[0], 2);
+            assert_eq!(*order.last().unwrap(), 6);
         }
     }
 
     #[test]
     fn exact_backend_is_optimal_on_a_circle() {
         let (d, optimal) = circle(10);
-        let solution = ExactBackend.solve_cycle(&d, 0).unwrap();
-        assert!((solution.length - optimal).abs() < 1e-9);
+        let (_, length) = cycle(&ExactBackend, &d, 0).unwrap();
+        assert!((length - optimal).abs() < 1e-9);
     }
 
     #[test]
     fn heuristic_backends_never_beat_exact() {
         let (d, _) = circle(11);
-        let exact = ExactBackend.solve_cycle(&d, 0).unwrap();
+        let (_, exact) = cycle(&ExactBackend, &d, 0).unwrap();
         for backend in software_backends() {
-            let solution = backend.solve_cycle(&d, 0).unwrap();
+            let (_, length) = cycle(backend.as_ref(), &d, 0).unwrap();
             assert!(
-                solution.length >= exact.length - 1e-9,
+                length >= exact - 1e-9,
                 "{} undercut the optimum",
                 backend.name()
             );
@@ -709,24 +559,22 @@ mod tests {
     #[test]
     fn exact_backend_falls_back_above_the_dp_limit() {
         let (d, _) = circle(HELD_KARP_LIMIT + 4);
-        let solution = ExactBackend.solve_cycle(&d, 0).unwrap();
-        assert!(is_permutation(&solution.order, HELD_KARP_LIMIT + 4));
+        let (order, _) = cycle(&ExactBackend, &d, 0).unwrap();
+        assert!(is_permutation(&order, HELD_KARP_LIMIT + 4));
     }
 
     #[test]
     fn malformed_inputs_are_rejected_with_the_backend_name() {
         for backend in software_backends() {
-            let err = backend
-                .solve_cycle(&DistanceMatrix::default(), 0)
-                .unwrap_err();
+            let err = cycle(backend.as_ref(), &DistanceMatrix::default(), 0).unwrap_err();
             assert!(
                 matches!(err, TaxiError::Backend { .. }),
                 "{}",
                 backend.name()
             );
             let (d, _) = circle(5);
-            assert!(backend.solve_path(&d, 0, 9, 0).is_err());
-            assert!(backend.solve_path(&d, 3, 3, 0).is_err());
+            assert!(path(backend.as_ref(), &d, 0, 9).is_err());
+            assert!(path(backend.as_ref(), &d, 3, 3).is_err());
         }
     }
 

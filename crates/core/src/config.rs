@@ -388,7 +388,6 @@ impl Default for TaxiConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use taxi_ising::AnnealingSchedule;
 
     #[test]
     fn defaults_match_the_paper_configuration() {

@@ -78,7 +78,7 @@ pub mod result;
 pub mod router;
 pub mod solver;
 
-pub use backend::{SolverBackend, SolverScratch, SubTour, TourSolver};
+pub use backend::{SolverBackend, SolverScratch, TourSolver};
 pub use cache::{CacheHit, CacheLookup, SolutionCache, SolutionCacheStats};
 pub use config::{BackendChoice, TaxiConfig};
 pub use context::SolveContext;

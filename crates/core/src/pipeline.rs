@@ -46,7 +46,6 @@ use std::time::Instant;
 use taxi_arch::{Compiler, LevelPlan, SolvePlan, SubProblem};
 use taxi_cluster::{EndpointFixer, FixedEndpoints, Hierarchy, LevelView, Point};
 use taxi_dist::DistanceMatrix;
-use taxi_ising::AnnealingSchedule;
 use taxi_tsplib::{Tour, TspInstance};
 
 use crate::backend::{SolverScratch, TourSolver};

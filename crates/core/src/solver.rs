@@ -871,7 +871,8 @@ mod tests {
 
     #[test]
     fn custom_backends_plug_into_the_pipeline() {
-        use crate::backend::{SubTour, TourSolver};
+        use crate::backend::{SolverScratch, TourSolver};
+        use taxi_dist::DistanceMatrix;
 
         /// A deliberately terrible backend: identity order, no optimisation.
         struct IdentityBackend;
@@ -879,27 +880,33 @@ mod tests {
             fn name(&self) -> &str {
                 "identity"
             }
-            fn solve_cycle(
+            fn solve_cycle_into(
                 &self,
-                distances: &taxi_dist::DistanceMatrix,
+                distances: &DistanceMatrix,
                 _seed: u64,
-            ) -> Result<SubTour, TaxiError> {
-                let order: Vec<usize> = (0..distances.n()).collect();
-                Ok(SubTour { length: 0.0, order })
+                _scratch: &mut SolverScratch,
+                out: &mut Vec<usize>,
+            ) -> Result<f64, TaxiError> {
+                out.clear();
+                out.extend(0..distances.n());
+                Ok(0.0)
             }
-            fn solve_path(
+            fn solve_path_into(
                 &self,
-                distances: &taxi_dist::DistanceMatrix,
+                distances: &DistanceMatrix,
                 start: usize,
                 end: usize,
                 _seed: u64,
-            ) -> Result<SubTour, TaxiError> {
-                let mut order = vec![start];
-                order.extend((0..distances.n()).filter(|&c| c != start && c != end));
+                _scratch: &mut SolverScratch,
+                out: &mut Vec<usize>,
+            ) -> Result<f64, TaxiError> {
+                out.clear();
+                out.push(start);
+                out.extend((0..distances.n()).filter(|&c| c != start && c != end));
                 if distances.n() > 1 {
-                    order.push(end);
+                    out.push(end);
                 }
-                Ok(SubTour { length: 0.0, order })
+                Ok(0.0)
             }
         }
 

@@ -44,16 +44,17 @@ impl StochasticBitSource {
     ///
     /// # Errors
     ///
-    /// Returns an error if `current` lies outside the stochastic window.
+    /// Returns an error if `current` lies outside the stochastic window; the device, the
+    /// sample count and `rng` are then left untouched.
     pub fn sample<R: Rng + ?Sized>(
         &mut self,
         current: WriteCurrent,
         rng: &mut R,
     ) -> Result<bool, DeviceError> {
-        self.device.write_deterministic(MagState::AntiParallel);
-        let switched = self.device.try_stochastic_flip(current, rng)?;
-        self.samples_drawn += 1;
-        Ok(switched)
+        let params = self.device.params();
+        params.require_stochastic(current)?;
+        let p = params.switching_probability(current);
+        Ok(self.sample_with_probability(p, rng))
     }
 
     /// Draws one bit at a switching probability `p` the caller has already derived from
@@ -344,6 +345,29 @@ mod tests {
         }
         assert_eq!(gen.pulses_issued(), 1);
         assert_eq!(counters(&gen), units_before);
+        assert_eq!(rng, rng_before);
+    }
+
+    #[test]
+    fn out_of_window_sample_fails_before_touching_the_device() {
+        let mut src = StochasticBitSource::new(DeviceParams::default());
+        let mut rng = ChaCha8Rng::seed_from_u64(6);
+        src.sample(WriteCurrent::from_micro_amps(420.0), &mut rng)
+            .unwrap();
+        let device_before = src.device().clone();
+        let rng_before = rng.clone();
+        for ua in [700.0, 100.0] {
+            let err = src
+                .sample(WriteCurrent::from_micro_amps(ua), &mut rng)
+                .unwrap_err();
+            assert!(matches!(
+                err,
+                DeviceError::CurrentOutsideStochasticWindow { .. }
+            ));
+        }
+        assert_eq!(src.samples_drawn(), 1);
+        assert_eq!(src.device().write_count(), device_before.write_count());
+        assert_eq!(src.device().state(), device_before.state());
         assert_eq!(rng, rng_before);
     }
 

@@ -3,17 +3,15 @@
 //! The crate has three layers:
 //!
 //! * [`model`] / [`qubo`] — the textbook Ising Hamiltonian (Eqs. 1–3 of the paper) and
-//!   the QUBO encoding of a TSP, used by the software baselines and for validating that
-//!   the macro's MAC-based update indeed descends the energy landscape.
-//! * [`schedule`] — annealing schedules. The paper's schedule ramps the SOT write current
+//!   the QUBO encoding of a TSP: the explicit form of the objective the macro's
+//!   MAC-based update descends implicitly.
+//! * [`schedule`] — the annealing schedule. The paper's schedule ramps the SOT write current
 //!   linearly from 420 µA down to 353 µA in 50 nA steps, which — through the device's
 //!   sigmoidal `P_sw(I)` — yields the non-linear stochasticity decay the paper argues for.
 //! * [`macro_solver`] — [`MacroTspSolver`], the algorithm of Section III driving a
 //!   [`taxi_xbar::IsingMacro`] over a full annealing schedule, with optional fixed
 //!   endpoints so the hierarchical layer can solve path sub-problems whose first and last
 //!   cities are pinned (Section IV-2).
-//! * [`sa`] — a plain software simulated-annealing Ising solver used as an algorithmic
-//!   baseline (it is also the sub-solver model for the HVC-style baseline).
 //!
 //! # Example
 //!
@@ -36,7 +34,6 @@ pub mod error;
 pub mod macro_solver;
 pub mod model;
 pub mod qubo;
-pub mod sa;
 pub mod schedule;
 pub mod trace;
 
@@ -46,6 +43,5 @@ pub use macro_solver::{
 };
 pub use model::{IsingModel, Spin};
 pub use qubo::{Qubo, TspQuboEncoder};
-pub use sa::{SaConfig, SimulatedAnnealingIsingSolver};
-pub use schedule::{AnnealingSchedule, CurrentSchedule, GeometricTemperatureSchedule};
+pub use schedule::CurrentSchedule;
 pub use trace::{AnnealingTrace, TracePoint};

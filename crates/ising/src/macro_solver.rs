@@ -20,14 +20,14 @@ use rand_chacha::ChaCha8Rng;
 use taxi_dist::DistanceMatrix;
 use taxi_xbar::{IsingMacro, MacroConfig, MacroOpCounts};
 
-use crate::{AnnealingSchedule, CurrentSchedule, IsingError};
+use crate::{AnnealingTrace, CurrentSchedule, IsingError};
 
 /// Configuration of the macro-based TSP sub-solver.
 ///
 /// # Example
 ///
 /// ```
-/// use taxi_ising::{AnnealingSchedule, CurrentSchedule, MacroSolverConfig};
+/// use taxi_ising::{CurrentSchedule, MacroSolverConfig};
 /// use taxi_xbar::MacroConfig;
 ///
 /// let config = MacroSolverConfig::new(MacroConfig::new(4))
@@ -111,6 +111,17 @@ pub struct SubTourSolution {
     pub op_counts: MacroOpCounts,
 }
 
+impl SubTourSolution {
+    fn new(order: Vec<usize>, stats: SubTourStats) -> Self {
+        Self {
+            order,
+            length: stats.length,
+            iterations: stats.iterations,
+            op_counts: stats.op_counts,
+        }
+    }
+}
+
 /// Scalar outcome of a scratch-based solve ([`MacroTspSolver::solve_cycle_with`] /
 /// [`MacroTspSolver::solve_path_with`]); the visiting order is written into the caller's
 /// buffer instead of being owned by the result.
@@ -130,7 +141,7 @@ pub struct SubTourStats {
 /// [`IsingMacro::remap`]) plus the order/visited buffers of the annealing loop. After a
 /// warm-up solve per distinct sub-problem size, every subsequent solve through
 /// [`MacroTspSolver::solve_cycle_with`] / [`MacroTspSolver::solve_path_with`] performs
-/// zero heap allocations. Results are bit-identical to the allocating entry points: a
+/// zero heap allocations. Results are bit-identical to those of a fresh scratch: a
 /// remapped macro is indistinguishable from a freshly built one.
 #[derive(Debug, Clone, Default)]
 pub struct MacroScratch {
@@ -206,15 +217,9 @@ impl MacroTspSolver {
         distances: &DistanceMatrix,
         seed: u64,
     ) -> Result<SubTourSolution, IsingError> {
-        let mut scratch = MacroScratch::new();
         let mut order = Vec::new();
-        let stats = self.solve_cycle_with(distances, seed, &mut scratch, &mut order)?;
-        Ok(SubTourSolution {
-            order,
-            length: stats.length,
-            iterations: stats.iterations,
-            op_counts: stats.op_counts,
-        })
+        let stats = self.solve_cycle_with(distances, seed, &mut MacroScratch::new(), &mut order)?;
+        Ok(SubTourSolution::new(order, stats))
     }
 
     /// Like [`solve_cycle`](Self::solve_cycle), but reuses a caller-provided
@@ -232,68 +237,12 @@ impl MacroTspSolver {
         scratch: &mut MacroScratch,
         out: &mut Vec<usize>,
     ) -> Result<SubTourStats, IsingError> {
-        let n = validate_matrix(distances)?;
-        out.clear();
-        if n <= 3 {
-            out.extend(0..n);
-            return Ok(SubTourStats {
-                length: cycle_length(distances, out),
-                iterations: 0,
-                op_counts: MacroOpCounts::default(),
-            });
-        }
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        scratch.prepare_macro(&self.config, distances)?;
-        let MacroScratch {
-            macros,
-            initial,
-            best,
-            snapshot,
-            visited,
-            ..
-        } = scratch;
-        let macro_ = macros[n].as_mut().expect("macro was just prepared");
-        nearest_neighbor_order_into(distances, 0, visited, initial);
-        macro_.initialize_order(initial)?;
-
-        let schedule = self.config.schedule;
-        let total = schedule.len();
-        best.clear();
-        best.extend_from_slice(initial);
-        let mut best_length = cycle_length(distances, best);
-        for t in 0..total {
-            let order = t % n;
-            let i_write = schedule.current_at(t);
-            macro_.optimize_order(order, i_write, &mut rng)?;
-            if self.config.elitist && (t + 1) % n == 0 {
-                macro_.read_solution_into(snapshot)?;
-                let length = cycle_length(distances, snapshot);
-                if length < best_length {
-                    best_length = length;
-                    best.clear();
-                    best.extend_from_slice(snapshot);
-                }
-            }
-        }
-        macro_.read_solution_into(out)?;
-        let final_length = cycle_length(distances, out);
-        let length = if self.config.elitist && best_length < final_length {
-            out.clear();
-            out.extend_from_slice(best);
-            best_length
-        } else {
-            final_length
-        };
-        Ok(SubTourStats {
-            length,
-            iterations: total as u64,
-            op_counts: macro_.op_counts(),
-        })
+        self.anneal(distances, None, seed, scratch, out, None)
     }
 
     /// Like [`solve_cycle`](Self::solve_cycle), but additionally records an
-    /// [`AnnealingTrace`](crate::AnnealingTrace) with one sample per sweep over the
-    /// visiting orders (tour length, write current, stochasticity).
+    /// [`AnnealingTrace`] with one sample per sweep over the visiting orders (tour
+    /// length, write current, stochasticity).
     ///
     /// # Errors
     ///
@@ -302,52 +251,18 @@ impl MacroTspSolver {
         &self,
         distances: &DistanceMatrix,
         seed: u64,
-    ) -> Result<(SubTourSolution, crate::AnnealingTrace), IsingError> {
-        let n = validate_matrix(distances)?;
-        let mut trace = crate::AnnealingTrace::new();
-        if n <= 3 {
-            return Ok((self.solve_cycle(distances, seed)?, trace));
-        }
-        let curve = self.config.macro_config.device_params().switching_curve;
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut macro_ = IsingMacro::new(distances, self.config.macro_config.clone())?;
-        let initial = nearest_neighbor_order(distances, 0);
-        macro_.initialize_order(&initial)?;
-        let schedule = self.config.schedule;
-        let total = schedule.len();
-        let mut best_order = initial.clone();
-        let mut best_length = cycle_length(distances, &best_order);
-        trace.record(0, schedule.current_at(0), &curve, best_length);
-        for t in 0..total {
-            let order = t % n;
-            let i_write = schedule.current_at(t);
-            macro_.optimize_order(order, i_write, &mut rng)?;
-            if (t + 1) % n == 0 {
-                let snapshot = macro_.read_solution()?;
-                let length = cycle_length(distances, &snapshot);
-                trace.record(t, i_write, &curve, length);
-                if self.config.elitist && length < best_length {
-                    best_length = length;
-                    best_order = snapshot;
-                }
-            }
-        }
-        let final_order = macro_.read_solution()?;
-        let final_length = cycle_length(distances, &final_order);
-        let (order, length) = if self.config.elitist && best_length < final_length {
-            (best_order, best_length)
-        } else {
-            (final_order, final_length)
-        };
-        Ok((
-            SubTourSolution {
-                order,
-                length,
-                iterations: total as u64,
-                op_counts: macro_.op_counts(),
-            },
-            trace,
-        ))
+    ) -> Result<(SubTourSolution, AnnealingTrace), IsingError> {
+        let mut trace = AnnealingTrace::new();
+        let mut order = Vec::new();
+        let stats = self.anneal(
+            distances,
+            None,
+            seed,
+            &mut MacroScratch::new(),
+            &mut order,
+            Some(&mut trace),
+        )?;
+        Ok((SubTourSolution::new(order, stats), trace))
     }
 
     /// Solves an open-path TSP whose first city is `start` and last city is `end`
@@ -364,15 +279,16 @@ impl MacroTspSolver {
         end: usize,
         seed: u64,
     ) -> Result<SubTourSolution, IsingError> {
-        let mut scratch = MacroScratch::new();
         let mut order = Vec::new();
-        let stats = self.solve_path_with(distances, start, end, seed, &mut scratch, &mut order)?;
-        Ok(SubTourSolution {
-            order,
-            length: stats.length,
-            iterations: stats.iterations,
-            op_counts: stats.op_counts,
-        })
+        let stats = self.solve_path_with(
+            distances,
+            start,
+            end,
+            seed,
+            &mut MacroScratch::new(),
+            &mut order,
+        )?;
+        Ok(SubTourSolution::new(order, stats))
     }
 
     /// Like [`solve_path`](Self::solve_path), but reuses a caller-provided
@@ -392,31 +308,55 @@ impl MacroTspSolver {
         scratch: &mut MacroScratch,
         out: &mut Vec<usize>,
     ) -> Result<SubTourStats, IsingError> {
+        self.anneal(distances, Some([start, end]), seed, scratch, out, None)
+    }
+
+    /// The one anneal loop behind every solve. `ends` pins the first and last city of an
+    /// open path (`None` solves a closed cycle): the pinned cities are excluded from
+    /// every step and the sweep covers only the interior orders. The spin storage is
+    /// read after a sweep only when elitist tracking or `trace` needs the snapshot.
+    fn anneal(
+        &self,
+        distances: &DistanceMatrix,
+        ends: Option<[usize; 2]>,
+        seed: u64,
+        scratch: &mut MacroScratch,
+        out: &mut Vec<usize>,
+        mut trace: Option<&mut AnnealingTrace>,
+    ) -> Result<SubTourStats, IsingError> {
         let n = validate_matrix(distances)?;
-        if start >= n || end >= n {
-            return Err(IsingError::InvalidEndpoints {
-                reason: format!("endpoints ({start}, {end}) out of range for {n} cities"),
-            });
+        if let Some([start, end]) = ends {
+            if start >= n || end >= n {
+                return Err(IsingError::InvalidEndpoints {
+                    reason: format!("endpoints ({start}, {end}) out of range for {n} cities"),
+                });
+            }
+            if n > 1 && start == end {
+                return Err(IsingError::InvalidEndpoints {
+                    reason:
+                        "start and end city must differ for sub-problems with more than one city"
+                            .to_string(),
+                });
+            }
         }
-        if n > 1 && start == end {
-            return Err(IsingError::InvalidEndpoints {
-                reason: "start and end city must differ for sub-problems with more than one city"
-                    .to_string(),
-            });
-        }
+        let length_of = |order: &[usize]| match ends {
+            None => cycle_length(distances, order),
+            Some(_) => path_length(distances, order),
+        };
         out.clear();
         if n <= 3 {
-            out.push(start);
-            for c in 0..n {
-                if c != start && c != end {
-                    out.push(c);
+            match ends {
+                None => out.extend(0..n),
+                Some([start, end]) => {
+                    out.push(start);
+                    out.extend((0..n).filter(|&c| c != start && c != end));
+                    if n > 1 {
+                        out.push(end);
+                    }
                 }
             }
-            if n > 1 {
-                out.push(end);
-            }
             return Ok(SubTourStats {
-                length: path_length(distances, out),
+                length: length_of(out),
                 iterations: 0,
                 op_counts: MacroOpCounts::default(),
             });
@@ -433,25 +373,42 @@ impl MacroTspSolver {
             ..
         } = scratch;
         let macro_ = macros[n].as_mut().expect("macro was just prepared");
-        nearest_neighbor_path_order_into(distances, start, end, visited, initial);
+        let (pinned, first_order, sweep): (&[usize], usize, usize) = match &ends {
+            None => {
+                nearest_neighbor_order_into(distances, 0, visited, initial);
+                (&[], 0, n)
+            }
+            Some(pinned @ [start, end]) => {
+                nearest_neighbor_path_order_into(distances, *start, *end, visited, initial);
+                (pinned, 1, n - 2)
+            }
+        };
         macro_.initialize_order(initial)?;
 
-        let frozen = [start, end];
         let schedule = self.config.schedule;
+        let curve = &self.config.macro_config.device_params().switching_curve;
         let total = schedule.len();
-        let interior = n - 2;
         best.clear();
         best.extend_from_slice(initial);
-        let mut best_length = path_length(distances, best);
+        let mut best_length = length_of(best);
+        if let Some(trace) = trace.as_deref_mut() {
+            trace.record(0, schedule.current_at(0), curve, best_length);
+        }
         for t in 0..total {
-            // Cycle over the interior orders 1..n-1; endpoints stay pinned.
-            let order = 1 + (t % interior);
             let i_write = schedule.current_at(t);
-            macro_.optimize_order_constrained(order, i_write, &frozen, &mut rng)?;
-            if self.config.elitist && (t + 1) % interior == 0 {
+            macro_.optimize_order_constrained(
+                first_order + t % sweep,
+                i_write,
+                pinned,
+                &mut rng,
+            )?;
+            if (t + 1) % sweep == 0 && (self.config.elitist || trace.is_some()) {
                 macro_.read_solution_into(snapshot)?;
-                let length = path_length(distances, snapshot);
-                if length < best_length {
+                let length = length_of(snapshot);
+                if let Some(trace) = trace.as_deref_mut() {
+                    trace.record(t, i_write, curve, length);
+                }
+                if self.config.elitist && length < best_length {
                     best_length = length;
                     best.clear();
                     best.extend_from_slice(snapshot);
@@ -459,7 +416,7 @@ impl MacroTspSolver {
             }
         }
         macro_.read_solution_into(out)?;
-        let final_length = path_length(distances, out);
+        let final_length = length_of(out);
         let length = if self.config.elitist && best_length < final_length {
             out.clear();
             out.extend_from_slice(best);
@@ -467,8 +424,10 @@ impl MacroTspSolver {
         } else {
             final_length
         };
-        debug_assert_eq!(out[0], start, "start endpoint must remain pinned");
-        debug_assert_eq!(out[n - 1], end, "end endpoint must remain pinned");
+        if let Some([start, end]) = ends {
+            debug_assert_eq!(out[0], start, "start endpoint must remain pinned");
+            debug_assert_eq!(out[n - 1], end, "end endpoint must remain pinned");
+        }
         Ok(SubTourStats {
             length,
             iterations: total as u64,
@@ -502,16 +461,9 @@ pub fn path_length(distances: &DistanceMatrix, order: &[usize]) -> f64 {
         .sum()
 }
 
-/// Nearest-neighbour visiting order starting from `start` (closed-tour initialisation).
-pub fn nearest_neighbor_order(distances: &DistanceMatrix, start: usize) -> Vec<usize> {
-    let mut visited = Vec::new();
-    let mut order = Vec::with_capacity(distances.n());
-    nearest_neighbor_order_into(distances, start, &mut visited, &mut order);
-    order
-}
-
-/// Buffer-reusing form of [`nearest_neighbor_order`]: `visited` and `out` are cleared
-/// and refilled, so repeated initialisations allocate nothing once warm.
+/// Nearest-neighbour visiting order starting from `start` (closed-tour initialisation):
+/// `visited` and `out` are cleared and refilled, so repeated initialisations allocate
+/// nothing once warm.
 pub fn nearest_neighbor_order_into(
     distances: &DistanceMatrix,
     start: usize,
@@ -537,19 +489,8 @@ pub fn nearest_neighbor_order_into(
     }
 }
 
-/// Nearest-neighbour path order from `start`, forced to terminate at `end`.
-pub fn nearest_neighbor_path_order(
-    distances: &DistanceMatrix,
-    start: usize,
-    end: usize,
-) -> Vec<usize> {
-    let mut visited = Vec::new();
-    let mut order = Vec::with_capacity(distances.n());
-    nearest_neighbor_path_order_into(distances, start, end, &mut visited, &mut order);
-    order
-}
-
-/// Buffer-reusing form of [`nearest_neighbor_path_order`].
+/// Nearest-neighbour path order from `start`, forced to terminate at `end`; buffers
+/// are reused as in [`nearest_neighbor_order_into`].
 pub fn nearest_neighbor_path_order_into(
     distances: &DistanceMatrix,
     start: usize,
@@ -705,7 +646,8 @@ mod tests {
     #[test]
     fn nearest_neighbor_order_is_permutation() {
         let (d, _) = circle_distances(12);
-        let order = nearest_neighbor_order(&d, 4);
+        let mut order = Vec::new();
+        nearest_neighbor_order_into(&d, 4, &mut Vec::new(), &mut order);
         assert!(is_permutation(&order, 12));
         assert_eq!(order[0], 4);
     }
@@ -713,7 +655,8 @@ mod tests {
     #[test]
     fn nearest_neighbor_path_respects_endpoints() {
         let (d, _) = circle_distances(7);
-        let order = nearest_neighbor_path_order(&d, 1, 5);
+        let mut order = Vec::new();
+        nearest_neighbor_path_order_into(&d, 1, 5, &mut Vec::new(), &mut order);
         assert!(is_permutation(&order, 7));
         assert_eq!(order[0], 1);
         assert_eq!(*order.last().unwrap(), 5);

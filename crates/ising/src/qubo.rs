@@ -4,10 +4,9 @@
 //! binary variables following the QUBO/Ising equivalence (its ref. \[20\]). This module
 //! provides the explicit encoding: an `N × N` grid of binary variables with one-hot
 //! constraints on both rows (each city visited exactly once) and columns (each order
-//! filled exactly once), plus the distance objective on adjacent orders. The generic
-//! software solvers in this workspace ([`crate::SimulatedAnnealingIsingSolver`], the
-//! HVC-style baseline) consume this encoding; the hardware macro realises the same
-//! objective implicitly through its MAC + ArgMax update.
+//! filled exactly once), plus the distance objective on adjacent orders. The hardware
+//! macro realises the same objective implicitly through its MAC + ArgMax update; the
+//! property tests check that the explicit encoding ranks tours by their length.
 
 use taxi_dist::DistanceMatrix;
 

@@ -9,36 +9,12 @@
 
 use taxi_device::{SwitchingCurve, WriteCurrent};
 
-/// A generic annealing schedule over discrete iterations.
-pub trait AnnealingSchedule {
-    /// Total number of iterations in the schedule.
-    fn len(&self) -> usize;
-
-    /// Returns `true` if the schedule has no iterations.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Write current applied at iteration `iteration` (0-based).
-    ///
-    /// # Panics
-    ///
-    /// Implementations may panic if `iteration >= self.len()`.
-    fn current_at(&self, iteration: usize) -> WriteCurrent;
-
-    /// Stochasticity (expected mask-pass probability) at iteration `iteration`, given a
-    /// switching curve.
-    fn stochasticity_at(&self, iteration: usize, curve: &SwitchingCurve) -> f64 {
-        curve.probability(self.current_at(iteration))
-    }
-}
-
 /// The paper's linear write-current ramp.
 ///
 /// # Example
 ///
 /// ```
-/// use taxi_ising::{AnnealingSchedule, CurrentSchedule};
+/// use taxi_ising::CurrentSchedule;
 ///
 /// let schedule = CurrentSchedule::paper();
 /// assert_eq!(schedule.len(), 1340);
@@ -119,71 +95,11 @@ impl CurrentSchedule {
     pub fn step(&self) -> WriteCurrent {
         self.step
     }
-}
 
-impl Default for CurrentSchedule {
-    fn default() -> Self {
-        Self::software()
-    }
-}
-
-impl AnnealingSchedule for CurrentSchedule {
-    fn len(&self) -> usize {
+    /// Total number of iterations in the schedule.
+    pub fn len(&self) -> usize {
         let span = self.start.as_amps() - self.stop.as_amps();
         (span / self.step.as_amps()).floor() as usize
-    }
-
-    fn current_at(&self, iteration: usize) -> WriteCurrent {
-        assert!(iteration < self.len(), "iteration out of schedule range");
-        let i = self.start.as_amps() - iteration as f64 * self.step.as_amps();
-        WriteCurrent::from_amps(i.max(self.stop.as_amps()))
-    }
-}
-
-/// A geometric temperature schedule for the software simulated-annealing baseline.
-///
-/// # Example
-///
-/// ```
-/// use taxi_ising::GeometricTemperatureSchedule;
-///
-/// let schedule = GeometricTemperatureSchedule::new(10.0, 0.1, 0.95);
-/// assert!(schedule.len() > 0);
-/// assert!(schedule.temperature_at(0) > schedule.temperature_at(schedule.len() - 1));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GeometricTemperatureSchedule {
-    start: f64,
-    stop: f64,
-    factor: f64,
-}
-
-impl GeometricTemperatureSchedule {
-    /// Creates a schedule cooling from `start` to `stop` by multiplying with `factor`
-    /// each iteration.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `start > stop > 0` and `0 < factor < 1`.
-    pub fn new(start: f64, stop: f64, factor: f64) -> Self {
-        assert!(
-            start > stop && stop > 0.0,
-            "temperatures must satisfy start > stop > 0"
-        );
-        assert!(
-            factor > 0.0 && factor < 1.0,
-            "cooling factor must lie in (0, 1)"
-        );
-        Self {
-            start,
-            stop,
-            factor,
-        }
-    }
-
-    /// Number of iterations until the temperature drops below `stop`.
-    pub fn len(&self) -> usize {
-        ((self.stop / self.start).ln() / self.factor.ln()).ceil() as usize
     }
 
     /// Returns `true` if the schedule has no iterations.
@@ -191,9 +107,27 @@ impl GeometricTemperatureSchedule {
         self.len() == 0
     }
 
-    /// Temperature at iteration `iteration`.
-    pub fn temperature_at(&self, iteration: usize) -> f64 {
-        (self.start * self.factor.powi(iteration as i32)).max(self.stop)
+    /// Write current applied at iteration `iteration` (0-based).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `iteration >= self.len()`.
+    pub fn current_at(&self, iteration: usize) -> WriteCurrent {
+        assert!(iteration < self.len(), "iteration out of schedule range");
+        let i = self.start.as_amps() - iteration as f64 * self.step.as_amps();
+        WriteCurrent::from_amps(i.max(self.stop.as_amps()))
+    }
+
+    /// Stochasticity (expected mask-pass probability) at iteration `iteration`, given a
+    /// switching curve.
+    pub fn stochasticity_at(&self, iteration: usize, curve: &SwitchingCurve) -> f64 {
+        curve.probability(self.current_at(iteration))
+    }
+}
+
+impl Default for CurrentSchedule {
+    fn default() -> Self {
+        Self::software()
     }
 }
 
@@ -257,19 +191,5 @@ mod tests {
         assert!(p_start - p_mid > p_mid - p_end);
         assert!((p_start - 0.20).abs() < 0.01);
         assert!(p_end < 0.015);
-    }
-
-    #[test]
-    fn geometric_schedule_cools_to_floor() {
-        let g = GeometricTemperatureSchedule::new(10.0, 0.1, 0.9);
-        let last = g.temperature_at(g.len());
-        assert!(last >= 0.1 - 1e-12);
-        assert!(g.temperature_at(0) > g.temperature_at(5));
-    }
-
-    #[test]
-    #[should_panic(expected = "cooling factor")]
-    fn geometric_schedule_rejects_bad_factor() {
-        GeometricTemperatureSchedule::new(10.0, 0.1, 1.5);
     }
 }

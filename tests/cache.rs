@@ -7,8 +7,8 @@ use std::sync::Arc;
 
 use taxi::cache::CacheLookup;
 use taxi::{
-    PipelineObserver, SolutionCache, SolveProvenance, SolverBackend, Stage, SubTour, TaxiConfig,
-    TaxiError, TaxiSolver, TourSolver,
+    PipelineObserver, SolutionCache, SolveProvenance, SolverBackend, SolverScratch, Stage,
+    TaxiConfig, TaxiError, TaxiSolver, TourSolver,
 };
 use taxi_dist::DistanceMatrix;
 use taxi_tsplib::generator::{clustered_instance, random_uniform_instance};
@@ -192,20 +192,29 @@ impl TourSolver for PanicOnceBackend {
         "panic-once"
     }
 
-    fn solve_cycle(&self, distances: &DistanceMatrix, seed: u64) -> Result<SubTour, TaxiError> {
+    fn solve_cycle_into(
+        &self,
+        distances: &DistanceMatrix,
+        seed: u64,
+        scratch: &mut SolverScratch,
+        out: &mut Vec<usize>,
+    ) -> Result<f64, TaxiError> {
         self.trip();
-        self.inner.solve_cycle(distances, seed)
+        self.inner.solve_cycle_into(distances, seed, scratch, out)
     }
 
-    fn solve_path(
+    fn solve_path_into(
         &self,
         distances: &DistanceMatrix,
         start: usize,
         end: usize,
         seed: u64,
-    ) -> Result<SubTour, TaxiError> {
+        scratch: &mut SolverScratch,
+        out: &mut Vec<usize>,
+    ) -> Result<f64, TaxiError> {
         self.trip();
-        self.inner.solve_path(distances, start, end, seed)
+        self.inner
+            .solve_path_into(distances, start, end, seed, scratch, out)
     }
 }
 

@@ -142,7 +142,7 @@ fn hvc_baseline_and_taxi_solve_the_same_instances() {
 
 #[test]
 fn hardware_latency_uses_the_paper_schedule_even_with_fast_software_schedule() {
-    use taxi_ising::{AnnealingSchedule, CurrentSchedule};
+    use taxi_ising::CurrentSchedule;
     let instance = clustered_instance("sched", 90, 5, 3);
     let config = TaxiConfig::new()
         .with_software_schedule(CurrentSchedule::fast())

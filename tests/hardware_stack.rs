@@ -7,7 +7,7 @@ use rand_chacha::ChaCha8Rng;
 use taxi_arch::{ArchConfig, Compiler, LevelPlan, SolvePlan, SubProblem};
 use taxi_device::{DeviceParams, SwitchingCurve, WriteCurrent};
 use taxi_dist::DistanceMatrix;
-use taxi_ising::{AnnealingSchedule, CurrentSchedule, MacroSolverConfig, MacroTspSolver};
+use taxi_ising::{CurrentSchedule, MacroSolverConfig, MacroTspSolver};
 use taxi_xbar::{BitPrecision, IsingMacro, MacroCircuitModel, MacroConfig};
 
 /// The annealing schedule and the device switching curve must compose into the paper's

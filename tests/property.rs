@@ -3,13 +3,13 @@
 
 use proptest::prelude::*;
 
-use taxi::{SolverBackend, SolverScratch, TaxiConfig, TaxiSolver};
+use taxi::{SolverBackend, SolverScratch, TaxiConfig, TaxiSolver, TourSolver};
 use taxi_cluster::{
     agglomerative_clusters, AgglomerativeConfig, Hierarchy, HierarchyConfig, Point,
 };
 use taxi_device::{DeviceParams, SwitchingCurve, WriteCurrent};
 use taxi_dist::DistanceMatrix;
-use taxi_ising::{AnnealingSchedule, CurrentSchedule, TspQuboEncoder};
+use taxi_ising::{CurrentSchedule, TspQuboEncoder};
 use taxi_tsplib::{EdgeWeightKind, Tour, TspInstance};
 use taxi_xbar::{BitPrecision, QuantizedDistances};
 
@@ -27,6 +27,35 @@ fn distance_matrix_strategy(max_len: usize) -> impl Strategy<Value = DistanceMat
             (x1 - x2).hypot(y1 - y2)
         })
     })
+}
+
+/// A cycle solve drawing on `scratch`: the visiting order and the reported length.
+fn cycle_with(
+    backend: &dyn TourSolver,
+    matrix: &DistanceMatrix,
+    seed: u64,
+    scratch: &mut SolverScratch,
+) -> (Vec<usize>, f64) {
+    let mut order = Vec::new();
+    let length = backend
+        .solve_cycle_into(matrix, seed, scratch, &mut order)
+        .unwrap();
+    (order, length)
+}
+
+/// An endpoint-pinned path solve drawing on `scratch`.
+fn path_with(
+    backend: &dyn TourSolver,
+    matrix: &DistanceMatrix,
+    (start, end): (usize, usize),
+    seed: u64,
+    scratch: &mut SolverScratch,
+) -> (Vec<usize>, f64) {
+    let mut order = Vec::new();
+    let length = backend
+        .solve_path_into(matrix, start, end, seed, scratch, &mut order)
+        .unwrap();
+    (order, length)
 }
 
 proptest! {
@@ -150,57 +179,58 @@ proptest! {
         let (start, end) = (0, n - 1);
         for kind in SolverBackend::ALL {
             let backend = TaxiConfig::new().with_backend(kind).build_backend();
+            let mut scratch = SolverScratch::new();
 
             // Closed cycle: a permutation of 0..n with a finite length.
-            let cycle = backend.solve_cycle(&matrix, seed).unwrap();
-            let mut sorted = cycle.order.clone();
+            let (order, length) = cycle_with(backend.as_ref(), &matrix, seed, &mut scratch);
+            let mut sorted = order.clone();
             sorted.sort_unstable();
             prop_assert_eq!(&sorted, &(0..n).collect::<Vec<_>>(), "{} cycle", kind);
-            prop_assert!(cycle.length.is_finite() && cycle.length >= 0.0);
+            prop_assert!(length.is_finite() && length >= 0.0);
 
             // Open path: permutation with pinned endpoints.
-            let path = backend.solve_path(&matrix, start, end, seed).unwrap();
-            let mut sorted = path.order.clone();
+            let (order, length) =
+                path_with(backend.as_ref(), &matrix, (start, end), seed, &mut scratch);
+            let mut sorted = order.clone();
             sorted.sort_unstable();
             prop_assert_eq!(&sorted, &(0..n).collect::<Vec<_>>(), "{} path", kind);
-            prop_assert_eq!(path.order[0], start, "{} start pin", kind);
-            prop_assert_eq!(*path.order.last().unwrap(), end, "{} end pin", kind);
-            prop_assert!(path.length.is_finite() && path.length >= 0.0);
+            prop_assert_eq!(order[0], start, "{} start pin", kind);
+            prop_assert_eq!(*order.last().unwrap(), end, "{} end pin", kind);
+            prop_assert!(length.is_finite() && length >= 0.0);
         }
     }
 
-    /// The buffer-reusing `_into` entry points are bit-identical to the allocating ones
-    /// for every backend — the equivalence the zero-realloc pipeline relies on.
+    /// One `SolverScratch` reused across every backend and several sub-problem sizes
+    /// gives exactly the order and length a fresh scratch gives: a warm scratch is
+    /// behaviourally transparent, which the per-worker scratch of the pipeline relies on.
     #[test]
-    fn backend_into_variants_match_allocating_variants(
-        matrix in distance_matrix_strategy(9),
+    fn warm_scratch_matches_fresh_scratch_across_backends_and_sizes(
+        matrices in prop::collection::vec(distance_matrix_strategy(9), 1..4),
         seed in 0u64..50,
     ) {
-        let n = matrix.n();
-        let mut scratch = SolverScratch::new();
-        let mut out = Vec::new();
-        for kind in SolverBackend::ALL {
-            let backend = TaxiConfig::new().with_backend(kind).build_backend();
-            let cycle = backend.solve_cycle(&matrix, seed).unwrap();
-            let length = backend
-                .solve_cycle_into(&matrix, seed, &mut scratch, &mut out)
-                .unwrap();
-            prop_assert_eq!(&out, &cycle.order, "{} cycle order", kind);
-            prop_assert_eq!(length, cycle.length, "{} cycle length", kind);
+        let mut warm = SolverScratch::new();
+        for matrix in &matrices {
+            let ends = (1, matrix.n() - 1);
+            for kind in SolverBackend::ALL {
+                let backend = TaxiConfig::new().with_backend(kind).build_backend();
+                let backend = backend.as_ref();
+                let fresh = cycle_with(backend, matrix, seed, &mut SolverScratch::new());
+                let reused = cycle_with(backend, matrix, seed, &mut warm);
+                prop_assert_eq!(&reused.0, &fresh.0, "{} cycle order", kind);
+                prop_assert_eq!(reused.1, fresh.1, "{} cycle length", kind);
 
-            let path = backend.solve_path(&matrix, 1, n - 1, seed).unwrap();
-            let length = backend
-                .solve_path_into(&matrix, 1, n - 1, seed, &mut scratch, &mut out)
-                .unwrap();
-            prop_assert_eq!(&out, &path.order, "{} path order", kind);
-            prop_assert_eq!(length, path.length, "{} path length", kind);
+                let fresh = path_with(backend, matrix, ends, seed, &mut SolverScratch::new());
+                let reused = path_with(backend, matrix, ends, seed, &mut warm);
+                prop_assert_eq!(&reused.0, &fresh.0, "{} path order", kind);
+                prop_assert_eq!(reused.1, fresh.1, "{} path length", kind);
+            }
         }
     }
 
     /// Neighbor-pruned local search (`neighbor_limit > 0`) upholds the same validity
     /// invariants on every backend: cycle solves stay permutations, path solves keep
-    /// their pinned endpoints, and the `_into` entry points stay bit-identical to the
-    /// allocating ones under pruning.
+    /// their pinned endpoints, and a scratch reused across backends gives what a fresh
+    /// scratch gives under pruning.
     #[test]
     fn pruned_backends_uphold_tour_validity_invariants(
         matrix in distance_matrix_strategy(13),
@@ -208,36 +238,34 @@ proptest! {
         limit in 1usize..10,
     ) {
         let n = matrix.n();
-        let mut scratch = SolverScratch::new();
-        let mut out = Vec::new();
+        let mut warm = SolverScratch::new();
         for kind in SolverBackend::ALL {
             let backend = TaxiConfig::new()
                 .with_neighbor_limit(limit)
                 .with_backend(kind)
                 .build_backend();
+            let backend = backend.as_ref();
 
-            let cycle = backend.solve_cycle(&matrix, seed).unwrap();
-            let mut sorted = cycle.order.clone();
+            let (order, length) = cycle_with(backend, &matrix, seed, &mut SolverScratch::new());
+            let mut sorted = order.clone();
             sorted.sort_unstable();
             prop_assert_eq!(&sorted, &(0..n).collect::<Vec<_>>(), "{} pruned cycle", kind);
-            prop_assert!(cycle.length.is_finite() && cycle.length >= 0.0);
-            let length = backend
-                .solve_cycle_into(&matrix, seed, &mut scratch, &mut out)
-                .unwrap();
-            prop_assert_eq!(&out, &cycle.order, "{} pruned cycle order", kind);
-            prop_assert_eq!(length, cycle.length, "{} pruned cycle length", kind);
+            prop_assert!(length.is_finite() && length >= 0.0);
+            let reused = cycle_with(backend, &matrix, seed, &mut warm);
+            prop_assert_eq!(&reused.0, &order, "{} pruned cycle order", kind);
+            prop_assert_eq!(reused.1, length, "{} pruned cycle length", kind);
 
-            let path = backend.solve_path(&matrix, 0, n - 1, seed).unwrap();
-            let mut sorted = path.order.clone();
+            let ends = (0, n - 1);
+            let (order, length) =
+                path_with(backend, &matrix, ends, seed, &mut SolverScratch::new());
+            let mut sorted = order.clone();
             sorted.sort_unstable();
             prop_assert_eq!(&sorted, &(0..n).collect::<Vec<_>>(), "{} pruned path", kind);
-            prop_assert_eq!(path.order[0], 0, "{} pruned start pin", kind);
-            prop_assert_eq!(*path.order.last().unwrap(), n - 1, "{} pruned end pin", kind);
-            let length = backend
-                .solve_path_into(&matrix, 0, n - 1, seed, &mut scratch, &mut out)
-                .unwrap();
-            prop_assert_eq!(&out, &path.order, "{} pruned path order", kind);
-            prop_assert_eq!(length, path.length, "{} pruned path length", kind);
+            prop_assert_eq!(order[0], 0, "{} pruned start pin", kind);
+            prop_assert_eq!(*order.last().unwrap(), n - 1, "{} pruned end pin", kind);
+            let reused = path_with(backend, &matrix, ends, seed, &mut warm);
+            prop_assert_eq!(&reused.0, &order, "{} pruned path order", kind);
+            prop_assert_eq!(reused.1, length, "{} pruned path length", kind);
         }
     }
 
